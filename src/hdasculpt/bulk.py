@@ -13,8 +13,8 @@ from typing import Mapping
 
 from .errors import NotRegularError, ResourceLimitError
 from .events import EventPartition, UniversalEvents, universal_events
-from .precubical import (Hda, Morphism, PrecubicalSet, Problem,
-                         ValidationReport, validate_hda)
+from .precubical import (Hda, PrecubicalSet, Problem, ValidationReport,
+                         validate_hda)
 from .st_chu import (StStructure, check_regular, chu_string_to_config,
                      config_to_chu_string)
 
@@ -74,10 +74,6 @@ class Sculpture:
 
     def image(self, cell: str) -> str:
         return self.em[cell]
-
-    def morphism(self) -> Morphism:
-        return Morphism(dict(self.em))
-
 
 def validate_sculpture(s: Sculpture) -> ValidationReport:
     problems = list(validate_hda(s.hda).problems)

@@ -16,7 +16,6 @@ from .bulk import make_bulk, sculpture_from_json, sculpture_to_json, st_to_sculp
 from .decision import decide_sculptable, path_covering, verdict_to_json
 from .errors import HdaError
 from .euclid import complex_to_json, make_grid
-from .events import universal_events
 from .precubical import hda_from_json, hda_to_json
 from .pv import parse_pv, pv_to_complex
 from .randgen import random_hda_batch
@@ -43,7 +42,7 @@ def _cmd_check(args, oracle: bool) -> int:
     h = hda_from_json(_load(args.input))
     verdict = decide_sculptable(h, oracle=oracle, max_events=args.max_events,
                                 node_budget=args.node_budget)
-    _emit(verdict_to_json(verdict, universal_events(h.base)))
+    _emit(verdict_to_json(verdict))
     return 0 if verdict.sculptable else 1
 
 

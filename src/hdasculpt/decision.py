@@ -5,7 +5,7 @@ reaching it.  A partition of the universal labels is a proper identification
 when the quotient order stays antisymmetric, every cell keeps exactly one
 quotient configuration, and distinct cells keep distinct ones; sculptability
 is equivalent to the existence of such a partition.  Two searches are
-provided: exhaustive enumeration of partitions in restricted-growth-string
+provided: an exact branch and bound over partitions in restricted-growth-string
 order, and an incremental repair that resolves conflicts at states by merging
 matched events along homotopy pairs, backtracking on clashes.
 """
@@ -20,9 +20,10 @@ from typing import Mapping, Sequence
 from .bulk import Sculpture, validate_sculpture
 from .errors import (CyclicError, InvalidStructureError, NotConnectedError,
                      NotProperError, RepeatingEventsError, ResourceLimitError)
-from .events import (EventPartition, UniversalEvents,
+from .events import (EventPartition, UnionFind, UniversalEvents,
                      has_non_repeating_events, is_ordered, multilabel,
-                     partition_of, partition_to_json, universal_events)
+                     partition_of, partition_to_json, transitive_closure,
+                     universal_events)
 from .precubical import (Hda, Path, Step, coface_index, is_acyclic,
                          is_connected, normalize_path, validate_hda)
 from .st_chu import StConfig, StStructure, config_to_chu_string
@@ -36,6 +37,8 @@ class Covering:
     configs: Mapping[str, tuple[StConfig, ...]]
     structure: StStructure
     labels: Mapping[str, tuple[str, ...]]  # cell -> multilabel (class reps)
+    # cell -> per configuration, (started, terminated) as bitmasks over ue.reps
+    masks: Mapping[str, tuple[tuple[int, int], ...]]
     _parents: Mapping = field(repr=False)
 
     def witness(self, cell: str, cfg: StConfig) -> Path:
@@ -100,10 +103,15 @@ def path_covering(h: Hda, ue: UniversalEvents | None = None) -> Covering:
                 queue.append(new_key)
     structure = StStructure(
         ue.reps, frozenset(c for cs in configs.values() for c in cs))
+    bit = {r: 1 << i for i, r in enumerate(ue.reps)}
     return Covering(ue=ue,
                     configs={c: tuple(cs) for c, cs in configs.items()},
                     structure=structure,
                     labels=labels,
+                    masks={c: tuple((sum(map(bit.__getitem__, k.started)),
+                                     sum(map(bit.__getitem__, k.terminated)))
+                                    for k in cs)
+                           for c, cs in configs.items()},
                     _parents=parents)
 
 
@@ -121,13 +129,7 @@ class Violation:
 
 
 def _part_reps(ue: UniversalEvents, partition: EventPartition):
-    decl = {r: i for i, r in enumerate(ue.reps)}
-    rep_map: dict[str, str] = {}
-    for part in partition:
-        r = min(part, key=decl.__getitem__)
-        for member in part:
-            rep_map[member] = r
-    return rep_map
+    return {r: min(part, key=ue.reps.index) for part in partition for r in part}
 
 
 def _quotient_config(cfg: StConfig, rep_map: Mapping[str, str]) -> StConfig:
@@ -135,38 +137,68 @@ def _quotient_config(cfg: StConfig, rep_map: Mapping[str, str]) -> StConfig:
                     frozenset(rep_map[e] for e in cfg.terminated))
 
 
-def _quotient_reachability(ue: UniversalEvents, rep_map: Mapping[str, str]):
-    """Strict-order reachability between distinct quotient classes."""
-    succ: dict[str, set[str]] = {}
-    for a, b in ue.generators:
-        qa, qb = rep_map[a], rep_map[b]
-        if qa != qb:
-            succ.setdefault(qa, set()).add(qb)
-            succ.setdefault(qb, set())
-    reach: dict[str, set[str]] = {}
-    for start in succ:
-        seen: set[str] = set()
-        stack = list(succ[start])
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(succ[v])
-        reach[start] = seen
-    return reach
+def _quotient_order(ue: UniversalEvents, rep_map: Mapping[str, str]):
+    """The order between distinct quotient classes, transitively closed."""
+    return transitive_closure((rep_map[a], rep_map[b]) for a, b in ue.generators
+                              if rep_map[a] != rep_map[b])
 
 
-def _quotient_order_cycle(ue: UniversalEvents, rep_map: Mapping[str, str],
-                          reach=None):
-    """A strongly connected pair of distinct quotient classes, if any."""
-    if reach is None:
-        reach = _quotient_reachability(ue, rep_map)
-    for start, seen in reach.items():
-        if start in seen:
-            other = next(s for s in seen
-                         if s != start and start in reach.get(s, ()))
-            return (start, other)
+def _order_cycle(order) -> tuple[str, str] | None:
+    """The least pair of distinct quotient classes each below the other, if
+    any; the least, so the answer does not follow the set's hash order."""
+    return min(((a, b) for a, b in order if a != b and (b, a) in order),
+               default=None)
+
+
+# The quotient kernel.  A partition becomes a class-bit table giving each
+# universal event the bit of its class's earliest-declared member, so the
+# quotient of a configuration is an (int, int) key over those bits, and an
+# StConfig is built only for a violation or witness handed back.
+
+
+def _class_bits(ue: UniversalEvents, rep_map: Mapping[str, str]):
+    """The class-bit table, with the mask of the events that keep their bit."""
+    index = {r: i for i, r in enumerate(ue.reps)}
+    bits = [1 << index[rep_map[r]] for r in ue.reps]
+    return bits, sum(b for i, b in enumerate(bits) if b == 1 << i)
+
+
+def _cell_keys(masks, table) -> list[tuple[int, int]]:
+    """The quotient key of each of a cell's configurations, in order."""
+    bits, fixed = table
+    keys = []
+    for s, t in masks:
+        qs, qt, moved = s & fixed, t & fixed, s & ~fixed
+        while moved:   # only the events merged into another's class
+            low = moved & -moved
+            b = bits[low.bit_length() - 1]
+            qs |= b
+            if t & low:
+                qt |= b
+            moved ^= low
+        keys.append((qs, qt))
+    return keys
+
+
+def _key_config(ue: UniversalEvents, key: tuple[int, int]) -> StConfig:
+    s, t = key
+    return StConfig(frozenset(r for i, r in enumerate(ue.reps) if s >> i & 1),
+                    frozenset(r for i, r in enumerate(ue.reps) if t >> i & 1))
+
+
+def _clash(keys):
+    """The first two distinct cells sharing a quotient key, and that key.
+
+    ``keys`` yields (cell, that cell's keys) pairs and is read lazily, in
+    order.  Merging classes never separates two equal keys, so a clash
+    found under a partition persists under every coarsening of it.
+    """
+    owner: dict[tuple[int, int], str] = {}
+    for cell, cell_keys in keys:
+        for key in cell_keys:
+            first = owner.setdefault(key, cell)
+            if first != cell:
+                return first, cell, key
     return None
 
 
@@ -181,33 +213,33 @@ def check_proper(h: Hda, partition: EventPartition,
     """
     if covering is None:
         covering = path_covering(h)
+    return _check_quotient(h, covering, _part_reps(covering.ue, partition))
+
+
+def _check_quotient(h: Hda, covering: Covering, rep_map: Mapping[str, str]):
+    """``check_proper`` for the partition a representative map stands for."""
     ue = covering.ue
-    rep_map = _part_reps(ue, partition)
-    cyc = _quotient_order_cycle(ue, rep_map)
+    cyc = _order_cycle(_quotient_order(ue, rep_map))
     if cyc is not None:
         return False, Violation(
             1, f"quotient order is cyclic through {cyc[0]!r} and {cyc[1]!r}",
             cycle=cyc)
-    assigned: dict[str, StConfig] = {}
+    table = _class_bits(ue, rep_map)
+    keys: dict[str, list[tuple[int, int]]] = {}
     for cell in h.all_cells():
-        qcfgs = []
-        for cfg in covering.configs[cell]:
-            q = _quotient_config(cfg, rep_map)
-            if q not in qcfgs:
-                qcfgs.append(q)
-        if len(qcfgs) > 1:
+        distinct = list(dict.fromkeys(_cell_keys(covering.masks[cell], table)))
+        if len(distinct) > 1:
             return False, Violation(
-                2, f"cell {cell!r} keeps {len(qcfgs)} distinct quotient configs",
-                cells=(cell,), configs=(qcfgs[0], qcfgs[1]))
-        assigned[cell] = qcfgs[0]
-    seen: dict[StConfig, str] = {}
-    for cell in h.all_cells():
-        q = assigned[cell]
-        if q in seen:
-            return False, Violation(
-                3, f"cells {seen[q]!r} and {cell!r} share quotient config {q}",
-                cells=(seen[q], cell), configs=(q,))
-        seen[q] = cell
+                2, f"cell {cell!r} keeps {len(distinct)} distinct quotient configs",
+                cells=(cell,), configs=(_key_config(ue, distinct[0]),
+                                        _key_config(ue, distinct[1])))
+        keys[cell] = distinct
+    clash = _clash(keys.items())
+    if clash is not None:
+        a, b, key = clash
+        q = _key_config(ue, key)
+        return False, Violation(3, f"cells {a!r} and {b!r} share quotient config {q}",
+                                cells=(a, b), configs=(q,))
     return True, None
 
 
@@ -224,32 +256,25 @@ def build_embedding(h: Hda, partition: EventPartition,
     ok, violation = check_proper(h, partition, covering)
     if not ok:
         raise NotProperError(violation.message, violation)
+    return _embed(h, covering, _part_reps(covering.ue, partition))
+
+
+def _embed(h: Hda, covering: Covering, rep_map: Mapping[str, str]) -> Sculpture:
+    """``build_embedding`` for a representative map already checked proper."""
     ue = covering.ue
-    rep_map = _part_reps(ue, partition)
-    decl = {r: i for i, r in enumerate(ue.reps)}
-    nodes = sorted({rep_map[r] for r in ue.reps}, key=decl.__getitem__)
-    succ: dict[str, set[str]] = {n: set() for n in nodes}
-    indeg = {n: 0 for n in nodes}
+    nodes = [r for r in ue.reps if rep_map[r] == r]   # class names, declared order
+    preds: dict[str, set[str]] = {n: set() for n in nodes}
     for a, b in ue.generators:
-        qa, qb = rep_map[a], rep_map[b]
-        if qa != qb and qb not in succ[qa]:
-            succ[qa].add(qb)
-            indeg[qb] += 1
+        if rep_map[a] != rep_map[b]:
+            preds[rep_map[b]].add(rep_map[a])
+    # the least linear extension: always the earliest-declared ready class
     events: list[str] = []
-    ready = sorted((n for n in nodes if indeg[n] == 0), key=decl.__getitem__)
-    while ready:
-        n = ready.pop(0)
+    while len(events) < len(nodes):
+        placed = set(events)
+        n = next((n for n in nodes if n not in placed and preds[n] <= placed), None)
+        if n is None:
+            raise NotProperError("quotient order is cyclic", None)
         events.append(n)
-        changed = False
-        for m in succ[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                ready.append(m)
-                changed = True
-        if changed:
-            ready.sort(key=decl.__getitem__)
-    if len(events) != len(nodes):
-        raise NotProperError("quotient order is cyclic", None)
     em = {}
     for cell in h.all_cells():
         q = _quotient_config(covering.configs[cell][0], rep_map)
@@ -282,6 +307,7 @@ class Verdict:
     witness: Witness | None = None
     nodes_explored: int = 0
     heuristic_incomplete: bool = False
+    ue: UniversalEvents | None = field(default=None, repr=False)  # to print a partition
 
     @property
     def d(self) -> int | None:
@@ -293,21 +319,12 @@ class Verdict:
 
 
 def restricted_growth_strings(m: int):
-    """All restricted growth strings of length m, lexicographically."""
-    if m == 0:
-        yield ()
-        return
-    a = [0] * m
-
-    def rec(i: int, mx: int):
-        if i == m:
-            yield tuple(a)
-            return
-        for v in range(mx + 2):
-            a[i] = v
-            yield from rec(i + 1, max(mx, v))
-
-    yield from rec(1, 0)
+    """All restricted growth strings of length m, lexicographically: each
+    digit is at most one more than the largest before it."""
+    out: list[tuple[int, ...]] = [()]
+    for _ in range(m):
+        out = [s + (v,) for s in out for v in range(max(s, default=-1) + 2)]
+    return iter(out)
 
 
 def partition_from_rgs(ue: UniversalEvents, rgs: Sequence[int]) -> EventPartition:
@@ -319,7 +336,18 @@ def partition_from_rgs(ue: UniversalEvents, rgs: Sequence[int]) -> EventPartitio
 
 def brute_force_search(h: Hda, covering: Covering | None = None,
                        max_events: int = 10) -> Verdict:
-    """Try every partition of the universal labels in canonical order."""
+    """Depth-first branch and bound over the partitions of the universal labels.
+
+    Partitions are restricted growth strings in lexicographic order (Knuth,
+    TAOCP 4A, 7.2.1.5), built one label at a time.  A prefix stands for its
+    classes with every later label a singleton, and every partition below it
+    is a coarsening of that; so once two distinct cells share a quotient
+    configuration the whole subtree is skipped.  Assigning a label to a class
+    rewrites only the keys of the configurations that start it, and the
+    rewrite is undone on backtrack.  Each leaf gets the full proper check,
+    so the partition returned is the first proper one in the enumeration.
+    ``nodes_explored`` counts the prefixes checked, not the partitions.
+    """
     if covering is None:
         covering = path_covering(h)
     ue = covering.ue
@@ -327,49 +355,63 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
     if m > max_events:
         raise ResourceLimitError(
             f"{m} universal events exceeds the exhaustive-search bound {max_events}")
-    checked = 0
-    for rgs in restricted_growth_strings(m):
-        checked += 1
-        partition = partition_from_rgs(ue, rgs)
-        ok, _ = check_proper(h, partition, covering)
-        if ok:
-            sculpture = build_embedding(h, partition, covering)
-            return Verdict(True, partition=partition, sculpture=sculpture,
-                           nodes_explored=checked)
-    return Verdict(False, witness=Witness(
-        "exhausted", summary=f"no proper identification among {checked} partitions"),
-        nodes_explored=checked)
+    cells = [c for c, ms in covering.masks.items() for _ in ms]
+    keys = [k for ms in covering.masks.values() for k in ms]
+    starting = [[j for j, (s, _) in enumerate(keys) if s >> i & 1] for i in range(m)]
+    owner = {k: c for c, k in zip(cells, keys)}
+    rgs = [0] * m
+    firsts = [0] if m else []   # the earliest label of each class, by digit
+    nodes = 1
+
+    def extend(i: int):
+        nonlocal nodes
+        if i == m:
+            rep_map = {r: ue.reps[firsts[d]] for r, d in zip(ue.reps, rgs)}
+            return rep_map if _check_quotient(h, covering, rep_map)[0] else None
+        e = 1 << i
+        for d in range(len(firsts) + 1):
+            nodes += 1
+            rgs[i] = d
+            new_class = d == len(firsts)
+            if new_class:   # i stays the singleton the prefix took it for
+                firsts.append(i)
+            b = 1 << firsts[d]
+            moved = []
+            clash = False
+            for j in () if new_class else starting[i]:
+                old = s, t = keys[j]
+                new = (s ^ e | b, t ^ e | b if t & e else t)
+                fresh = new not in owner
+                if not fresh and owner[new] != cells[j]:
+                    clash = True
+                    break
+                owner[new] = cells[j]
+                owner.pop(old, None)   # every config on this key starts i
+                keys[j] = new
+                moved.append((j, old, new, fresh))
+            found = None if clash else extend(i + 1)
+            if found is not None:
+                return found
+            for j, old, new, fresh in reversed(moved):
+                keys[j] = old
+                owner[old] = cells[j]
+                if fresh:
+                    del owner[new]
+            if new_class:
+                firsts.pop()
+        return None
+
+    found = extend(min(m, 1)) if _clash(covering.masks.items()) is None else None
+    if found is None:
+        return Verdict(False, witness=Witness(
+            "exhausted", summary=f"no proper identification; {nodes} prefixes checked"),
+            nodes_explored=nodes)
+    return Verdict(True, partition=partition_from_rgs(ue, rgs),
+                   sculpture=_embed(h, covering, found), nodes_explored=nodes, ue=ue)
 
 
 # ---------------------------------------------------------------------------
 # Repair search
-
-
-class _UF:
-    __slots__ = ("parent",)
-
-    def __init__(self, items=None, other=None):
-        self.parent = dict(other.parent) if other else {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-            return True
-        return False
-
-    def partition(self, ue: UniversalEvents) -> EventPartition:
-        groups: dict[str, set[str]] = {}
-        for r in ue.reps:
-            groups.setdefault(self.find(r), set()).add(r)
-        return partition_of(ue, groups.values())
 
 
 def _length_mismatch(h: Hda, covering: Covering):
@@ -386,7 +428,7 @@ def _length_mismatch(h: Hda, covering: Covering):
 
 
 def _homotopy_pair(h: Hda, covering: Covering, cell: str,
-                   rep_map: Mapping[str, str]):
+                   keys: Sequence[tuple[int, int]]):
     """Two matched-length event sequences witnessing a conflict at ``cell``.
 
     Takes one witness per distinct quotient configuration, normalizes each
@@ -395,10 +437,9 @@ def _homotopy_pair(h: Hda, covering: Covering, cell: str,
     (ties broken lexicographically on labels) together with the states the
     two routes pass through.
     """
-    by_quotient: dict[StConfig, StConfig] = {}
-    for cfg in covering.configs[cell]:
-        q = _quotient_config(cfg, rep_map)
-        by_quotient.setdefault(q, cfg)
+    by_quotient: dict[tuple[int, int], StConfig] = {}
+    for cfg, key in zip(covering.configs[cell], keys):
+        by_quotient.setdefault(key, cfg)
     normalized = [normalize_path(h, covering.witness(cell, cfg))
                   for cfg in by_quotient.values()]
     best = None
@@ -522,7 +563,7 @@ def repair_search(h: Hda, covering: Covering | None = None,
     first_clash: Witness | None = None
     nodes = 0
     decl = {r: i for i, r in enumerate(ue.reps)}
-    stack: list[_UF] = [_UF(items=ue.reps)]
+    stack: list[UnionFind] = [UnionFind(ue.reps)]
     seen: set[frozenset[frozenset[str]]] = set()
     while stack:
         uf = stack.pop()
@@ -538,15 +579,16 @@ def repair_search(h: Hda, covering: Covering | None = None,
         seen.add(fingerprint)
         canon = {root: min(ms, key=decl.__getitem__) for root, ms in groups.items()}
         rep_map = {r: canon[uf.find(r)] for r in ue.reps}
-        reach = _quotient_reachability(ue, rep_map)
-        if _quotient_order_cycle(ue, rep_map, reach) is not None:
+        order = _quotient_order(ue, rep_map)
+        if _order_cycle(order) is not None:
             continue
         members = {rep_map[r]: groups[uf.find(r)] for r in ue.reps}
+        table = _class_bits(ue, rep_map)
 
         def compatible(x, y):
             # merging order-comparable classes always collapses a square's
             # concurrent pair somewhere along the connecting chain
-            if y in reach.get(x, ()) or x in reach.get(y, ()):
+            if (x, y) in order or (y, x) in order:
                 return False
             return not any(v in cooccur[u]
                            for u in members[x] for v in members[y])
@@ -559,12 +601,12 @@ def repair_search(h: Hda, covering: Covering | None = None,
         dead_conflict = False
         any_conflict = False
         for cell in h.grade(0):
-            qcfgs = {_quotient_config(c, rep_map) for c in covering.configs[cell]}
-            if len(qcfgs) < 2:
+            keys = _cell_keys(covering.masks[cell], table)
+            if len(set(keys)) < 2:
                 continue
             any_conflict = True
             edges_a, edges_b, states_a, states_b = _homotopy_pair(
-                h, covering, cell, rep_map)
+                h, covering, cell, keys)
             if len(edges_a) < 2:
                 dead_conflict = True
                 continue
@@ -581,12 +623,11 @@ def repair_search(h: Hda, covering: Covering | None = None,
                 if key[0] == 1:
                     break
         if not any_conflict:
-            partition = uf.partition(ue)
-            ok, violation = check_proper(h, partition, covering)
+            ok, violation = _check_quotient(h, covering, rep_map)
             if ok:
-                sculpture = build_embedding(h, partition, covering)
-                return Verdict(True, partition=partition, sculpture=sculpture,
-                               nodes_explored=nodes)
+                return Verdict(True, partition=partition_of(ue, groups.values()),
+                               sculpture=_embed(h, covering, rep_map),
+                               nodes_explored=nodes, ue=ue)
             if violation.clause == 3 and first_clash is None:
                 first_clash = Witness("label_clash", cells=violation.cells,
                                       config=violation.configs[0])
@@ -598,19 +639,11 @@ def repair_search(h: Hda, covering: Covering | None = None,
         if best is None:
             # the branch dies; if the merges so far already label two
             # distinct cells alike, report that pair as the obstruction
-            if first_clash is None:
-                assigned: dict[StConfig, str] = {}
-                for other in h.all_cells():
-                    for cfg in covering.configs[other]:
-                        q = _quotient_config(cfg, rep_map)
-                        if q in assigned and assigned[q] != other:
-                            first_clash = Witness(
-                                "label_clash", cells=(assigned[q], other),
-                                config=q)
-                            break
-                        assigned[q] = other
-                    if first_clash is not None:
-                        break
+            clash = None if first_clash is not None else _clash(
+                (c, _cell_keys(covering.masks[c], table)) for c in h.all_cells())
+            if clash is not None:
+                first_clash = Witness("label_clash", cells=clash[:2],
+                                      config=_key_config(ue, clash[2]))
             continue
         edges_a, edges_b, taus = best
         n = len(edges_a)
@@ -620,7 +653,7 @@ def repair_search(h: Hda, covering: Covering | None = None,
             if nodes > node_budget:
                 raise ResourceLimitError(
                     f"repair search exceeded {node_budget} nodes")
-            child = _UF(other=uf)
+            child = UnionFind(parent=uf.parent)
             merged = False
             for i in range(n):
                 merged |= child.union(ue.label(edges_a[i]),
@@ -628,7 +661,7 @@ def repair_search(h: Hda, covering: Covering | None = None,
             if not merged:
                 continue
             child_map = {r: child.find(r) for r in ue.reps}
-            if _quotient_order_cycle(ue, child_map) is None:
+            if _order_cycle(_quotient_order(ue, child_map)) is None:
                 children.append(child)
         stack.extend(reversed(children))
     if first_clash is not None:
@@ -694,11 +727,6 @@ def path_to_json(p: Path) -> dict:
             "steps": [[s.direction, s.index, s.target] for s in p.steps]}
 
 
-def path_from_json(data: Mapping) -> Path:
-    return Path(data["start"],
-                tuple(Step(d, int(k), t) for d, k, t in data["steps"]))
-
-
 def witness_to_json(w: Witness) -> dict:
     out: dict = {"kind": w.kind}
     if w.path is not None:
@@ -719,7 +747,9 @@ def witness_to_json(w: Witness) -> dict:
 
 
 def verdict_to_json(v: Verdict, ue: UniversalEvents | None = None) -> dict:
+    """The verdict as JSON; the partition needs ``ue``, by default ``v.ue``."""
     from .bulk import sculpture_to_json
+    ue = ue if ue is not None else v.ue
     out: dict = {"sculptable": v.sculptable}
     if v.sculpture is not None:
         out["d"] = v.sculpture.d

@@ -39,9 +39,12 @@ class UniversalEvents:
         raise KeyError(rep)
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {x: x for x in items}
+class UnionFind:
+    __slots__ = ("parent",)
+
+    def __init__(self, items: Iterable[str] = (), parent: Mapping | None = None):
+        """Singleton classes of ``items``, or a copy of another's ``parent``."""
+        self.parent = dict(parent) if parent else {x: x for x in items}
 
     def find(self, x: str) -> str:
         p = self.parent
@@ -50,18 +53,21 @@ class _UnionFind:
             x = p[x]
         return x
 
-    def union(self, a: str, b: str) -> None:
+    def union(self, a: str, b: str) -> bool:
+        """Merge the classes of a and b; False when they were one already."""
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[rb] = ra
+        return ra != rb
 
 
-def _transitive_closure(nodes: Sequence[str], pairs: Iterable[tuple[str, str]]):
-    succ: dict[str, set[str]] = {n: set() for n in nodes}
+def transitive_closure(pairs: Iterable[tuple[str, str]]):
+    """All (a, b) with b reachable from a along one or more pairs."""
+    succ: dict[str, set[str]] = {}
     for a, b in pairs:
-        succ[a].add(b)
+        succ.setdefault(a, set()).add(b)
     closure: set[tuple[str, str]] = set()
-    for start in nodes:
+    for start in succ:
         seen: set[str] = set()
         stack = list(succ[start])
         while stack:
@@ -69,7 +75,7 @@ def _transitive_closure(nodes: Sequence[str], pairs: Iterable[tuple[str, str]]):
             if v in seen:
                 continue
             seen.add(v)
-            stack.extend(succ[v])
+            stack.extend(succ.get(v, ()))
         closure.update((start, v) for v in seen)
     return frozenset(closure)
 
@@ -79,7 +85,7 @@ def universal_events(P) -> UniversalEvents:
     base = P.base if isinstance(P, Hda) else P
     edges = base.grade(1)
     decl = {e: i for i, e in enumerate(edges)}
-    uf = _UnionFind(edges)
+    uf = UnionFind(edges)
     for q in base.grade(2):
         for i in (1, 2):
             uf.union(base.s(q, i), base.t(q, i))
@@ -99,7 +105,7 @@ def universal_events(P) -> UniversalEvents:
     reps = tuple(min(c, key=decl.__getitem__) for c in classes)
     return UniversalEvents(
         classes=classes, reps=reps, rep=rep,
-        order=_transitive_closure(reps, gens),
+        order=transitive_closure(gens),
         generators=tuple(gens))
 
 

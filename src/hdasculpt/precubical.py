@@ -8,12 +8,10 @@ deterministic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
-from .errors import (IllegalPathError, InvalidStructureError,
-                     ResourceLimitError)
+from .errors import IllegalPathError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -258,13 +256,6 @@ def validate_hda(h: Hda) -> ValidationReport:
     elif h.base.dim(h.initial) != 0:
         problems.append(Problem("initial_dimension", h.initial, "initial cell is not a 0-cell"))
     return ValidationReport(tuple(problems))
-
-
-def check_valid(obj) -> None:
-    """Raise InvalidStructureError unless the structure validates cleanly."""
-    report = validate_hda(obj) if isinstance(obj, Hda) else validate_precubical(obj)
-    if not report.ok:
-        raise InvalidStructureError(str(report), report)
 
 
 def validate_morphism(src: PrecubicalSet, dst: PrecubicalSet, m: Morphism,
@@ -657,7 +648,3 @@ def hda_to_json(h: Hda) -> dict:
 
 def hda_from_json(data: Mapping) -> Hda:
     return Hda(precubical_from_json(data), data["initial"])
-
-
-def dumps(obj, to_json: Callable[[object], dict]) -> str:
-    return json.dumps(to_json(obj), indent=2, sort_keys=True)

@@ -154,12 +154,3 @@ def pv_to_complex(prog: PvProgram) -> ComplexEmbedding:
     grid_map = {c: emb.grid_map[c] for c in reachable.all_cells()}
     return ComplexEmbedding(emb.complex, reachable, emb.grid, grid_map,
                             emb.added_faces)
-
-
-def pv_forbidden_top_count(prog: PvProgram) -> int:
-    """Number of excluded full-dimensional cells, for cross-checking."""
-    emb = pv_to_complex(prog)
-    total = 1
-    for p in prog.processes:
-        total *= len(p)
-    return total - len(emb.complex.top_cells(len(prog.processes)))

@@ -14,7 +14,8 @@ import random
 
 from .errors import HdaError
 from .euclid import Cube, complex_to_hda
-from .events import has_non_repeating_events, universal_events
+from .events import (has_non_repeating_events, transitive_closure,
+                     universal_events)
 from .precubical import (Hda, PrecubicalSet, is_acyclic, restrict_to_reachable,
                          validate_hda)
 
@@ -46,21 +47,9 @@ def _random_complex_hda(rng: random.Random) -> Hda:
 def _incomparable_vertex_pairs(h: Hda) -> list[tuple[str, str]]:
     """Vertex pairs where neither reaches the other through sequential steps."""
     verts = list(h.grade(0))
-    succ: dict[str, set[str]] = {v: set() for v in verts}
-    for e in h.grade(1):
-        succ[h.s(e, 1)].add(h.t(e, 1))
-    reach: dict[str, set[str]] = {}
-    for v in verts:
-        seen: set[str] = set()
-        stack = list(succ[v])
-        while stack:
-            w = stack.pop()
-            if w not in seen:
-                seen.add(w)
-                stack.extend(succ[w])
-        reach[v] = seen
+    order = transitive_closure((h.s(e, 1), h.t(e, 1)) for e in h.grade(1))
     return [(a, b) for i, a in enumerate(verts) for b in verts[i + 1:]
-            if b not in reach[a] and a not in reach[b]]
+            if (a, b) not in order and (b, a) not in order]
 
 
 def _random_dag_hda(rng: random.Random, max_edges: int) -> Hda:

@@ -164,6 +164,16 @@ def test_check_oracle_flag(tmp_path, capsys):
     assert json.loads(out)["d"] == 2
 
 
+def test_check_prints_the_partition_of_a_sculptable_file(tmp_path, capsys):
+    code, out = run_cli(capsys, "check", write_fixture(tmp_path, "backtracker"))
+    data = json.loads(out)
+    assert code == 0 and data["d"] == 4
+    assert len(data["partition"]) == 4
+    code, out = run_cli(capsys, "oracle", write_fixture(tmp_path, "matchbox"))
+    data = json.loads(out)
+    assert code == 0 and len(data["partition"]) == data["d"]
+
+
 def test_convert_chu_to_text(tmp_path, capsys):
     from hdasculpt import st_to_chu, chu_to_json, st_to_json
     chu_path = tmp_path / "chu.json"

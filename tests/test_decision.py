@@ -1,6 +1,8 @@
 """The covering, proper identifications, both searches, and the pipeline."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from hdasculpt import (CyclicError, NotConnectedError, RepeatingEventsError,
                        ResourceLimitError, StConfig, brute_force_search,
@@ -10,7 +12,7 @@ from hdasculpt import (CyclicError, NotConnectedError, RepeatingEventsError,
                        rooted_paths, universal_events, validate_path,
                        validate_sculpture)
 from hdasculpt.decision import partition_from_rgs, restricted_growth_strings
-from hdasculpt.errors import NotProperError
+from hdasculpt.errors import HdaError, NotProperError
 from hdasculpt.precubical import elementary_homotopies
 
 
@@ -174,6 +176,25 @@ def test_antisymmetry_violation_detected():
     assert violation.clause == 1
 
 
+def test_antisymmetry_violation_does_not_follow_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+
+    import hdasculpt
+    code = ("from hdasculpt import corpus, path_covering, check_proper\n"
+            "from hdasculpt.decision import partition_of\n"
+            "h = corpus.matchbox(); cov = path_covering(h); a, b, c = cov.ue.reps\n"
+            "print(check_proper(h, partition_of(cov.ue, [[a, c]]), cov)[1].cycle)")
+    src = os.path.dirname(os.path.dirname(hdasculpt.__file__))
+    cycles = {subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                             capture_output=True,
+                             env={**os.environ, "PYTHONPATH": src,
+                                  "PYTHONHASHSEED": seed}).stdout
+              for seed in "12345678"}
+    assert len(cycles) == 1
+
+
 # ---------------------------------------------------------------------------
 # Searches
 
@@ -311,6 +332,92 @@ def test_oracle_agreement_on_random_automata():
     for h in random_hda_batch(99, 60, max_events=6):
         assert (decide_sculptable(h).sculptable
                 == decide_sculptable(h, oracle=True).sculptable)
+
+
+# ---------------------------------------------------------------------------
+# The branch-and-bound oracle
+
+
+def _covered(batch):
+    out = []
+    for h in batch:
+        try:
+            out.append((h, path_covering(h)))
+        except HdaError:
+            continue
+    return out
+
+
+def _first_proper_by_enumeration(h, cov):
+    for rgs in restricted_growth_strings(len(cov.ue.reps)):
+        partition = partition_from_rgs(cov.ue, rgs)
+        if check_proper(h, partition, cov)[0]:
+            return partition
+    return None
+
+
+def test_branch_and_bound_finds_the_first_proper_partition_of_the_enumeration():
+    from hdasculpt.randgen import random_hda_batch
+    covered = _covered(random_hda_batch(3, 60, max_events=7))
+    assert len(covered) >= 50
+    outcomes = set()
+    for h, cov in covered:
+        want = _first_proper_by_enumeration(h, cov)
+        v = brute_force_search(h, cov)
+        assert v.partition == want
+        assert v.sculptable == (want is not None)
+        if want is None:
+            assert v.witness.kind == "exhausted"
+        outcomes.add(v.sculptable)
+    assert outcomes == {True, False}
+
+
+@pytest.fixture(scope="module")
+def clash_cases():
+    from hdasculpt.randgen import random_hda_batch
+    return _covered([corpus.broken_box(), corpus.wheel(),
+                     *random_hda_batch(5, 30, max_events=8)])
+
+
+def _clash_under(cov, partition):
+    from hdasculpt.decision import _cell_keys, _clash, _class_bits, _part_reps
+    table = _class_bits(cov.ue, _part_reps(cov.ue, partition))
+    return _clash((c, _cell_keys(ms, table)) for c, ms in cov.masks.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.data())
+def test_a_clash_persists_under_every_coarsening(clash_cases, data):
+    h, cov = data.draw(hst.sampled_from(clash_cases))
+    reps = cov.ue.reps
+    # a random partition, then a random merge of its parts
+    labels = data.draw(hst.lists(hst.integers(0, len(reps) - 1),
+                                 min_size=len(reps), max_size=len(reps)))
+    merge = data.draw(hst.lists(hst.integers(0, len(reps) - 1),
+                                min_size=len(reps), max_size=len(reps)))
+
+    def grouped(key):
+        groups = {}
+        for r, lab in zip(reps, labels):
+            groups.setdefault(key(lab), []).append(r)
+        return partition_of(cov.ue, groups.values())
+
+    fine, coarse = grouped(lambda lab: lab), grouped(lambda lab: merge[lab])
+    if _clash_under(cov, fine) is None:
+        return
+    assert _clash_under(cov, coarse) is not None
+    assert not check_proper(h, coarse, cov)[0]
+
+
+def test_branch_and_bound_prunes_the_batch_oracle_fallback():
+    # instance 111 is the one the repair search leaves exhausted; plain
+    # enumeration checks all 115,975 partitions of its 10 events
+    from hdasculpt.randgen import random_hda_batch
+    h = random_hda_batch(7, 300, max_events=10)[111]
+    assert len(universal_events(h.base).reps) == 10
+    v = brute_force_search(h)
+    assert not v.sculptable and v.witness.kind == "exhausted"
+    assert v.nodes_explored < 115_975
 
 
 def test_partition_from_rgs():
