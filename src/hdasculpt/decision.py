@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from .bulk import Sculpture, validate_sculpture
 from .errors import (CyclicError, InvalidStructureError, NotConnectedError,
                      NotProperError, RepeatingEventsError, ResourceLimitError)
-from .events import (EventPartition, UnionFind, UniversalEvents,
+from .events import (EventPartition, UniversalEvents,
                      has_non_repeating_events, is_ordered, multilabel,
                      partition_of, partition_to_json, transitive_closure,
                      universal_events)
@@ -71,7 +71,11 @@ def path_covering(h: Hda, ue: UniversalEvents | None = None) -> Covering:
     acyclic, pair = is_acyclic(h)
     if not acyclic:
         raise CyclicError(f"cells {pair[0]!r} and {pair[1]!r} lie on a cycle", pair)
+    return _covering(h, ue)
 
+
+def _covering(h: Hda, ue: UniversalEvents) -> Covering:
+    """``path_covering`` for an automaton whose preconditions already hold."""
     labels = {c: multilabel(h.base, c, ue) for c in h.all_cells()}
     cofaces = coface_index(h.base)
     empty = StConfig(frozenset(), frozenset())
@@ -428,20 +432,23 @@ def _length_mismatch(h: Hda, covering: Covering):
 
 
 def _homotopy_pair(h: Hda, covering: Covering, cell: str,
-                   keys: Sequence[tuple[int, int]]):
+                   keys: Sequence[tuple[int, int]], normal: dict):
     """Two matched-length event sequences witnessing a conflict at ``cell``.
 
     Takes one witness per distinct quotient configuration, normalizes each
     to its sequential form, strips shared prefixes and tails pairwise so the
     pair spans exactly the divergence, and returns the shortest suffix pair
     (ties broken lexicographically on labels) together with the states the
-    two routes pass through.
+    two routes pass through.  ``normal`` caches the normal forms by (cell,
+    configuration), since they do not depend on the partition.
     """
     by_quotient: dict[tuple[int, int], StConfig] = {}
     for cfg, key in zip(covering.configs[cell], keys):
         by_quotient.setdefault(key, cfg)
-    normalized = [normalize_path(h, covering.witness(cell, cfg))
-                  for cfg in by_quotient.values()]
+    for cfg in by_quotient.values():
+        if (cell, cfg) not in normal:
+            normal[cell, cfg] = normalize_path(h, covering.witness(cell, cfg))
+    normalized = [normal[cell, cfg] for cfg in by_quotient.values()]
     best = None
     for pa, pb in itertools.combinations(normalized, 2):
         common = 0
@@ -488,9 +495,10 @@ def _matchings(labels_a, labels_b, compatible, diverged=None):
     last with last, a suffix repeating a class admits no pairing at all, and
     a pairing mapping a proper prefix onto itself would hand the two distinct
     states after it the same configuration (``diverged`` flags those cuts).
+    Suffixes shorter than two positions admit none either.
     """
     n = len(labels_a)
-    if len(set(labels_a)) < n or len(set(labels_b)) < n:
+    if n < 2 or len(set(labels_a)) < n or len(set(labels_b)) < n:
         return
     if labels_a[0] == labels_b[0] or labels_a[-1] == labels_b[-1]:
         return
@@ -531,6 +539,53 @@ def _matchings(labels_a, labels_b, compatible, diverged=None):
     yield from assign(0, set(), dict(forced))
 
 
+def _fewest_matchings(conflicts):
+    """The conflict with the fewest matchings, listing no more of any than that.
+
+    ``conflicts`` yields (size, matchings iterator) pairs, read lazily.  The
+    first conflict with exactly one matching wins at once; otherwise the
+    least (count, size), the earliest on a tie.  The iterators advance in
+    lockstep, so the first to run out have the fewest.  Returns the winner's
+    index (or None), its matchings in order, and whether a conflict has none.
+    """
+    live, dead = [], False
+    for index, (size, it) in enumerate(conflicts):
+        got = list(itertools.islice(it, 2))
+        if len(got) == 1:
+            return index, got, dead
+        dead |= not got
+        if got:
+            live.append((size, index, it, got))
+    while live:
+        count = len(live[0][3])   # every live conflict has this many so far
+        for _, _, it, got in live:
+            got.extend(itertools.islice(it, 1))
+        done = [entry for entry in live if len(entry[3]) == count]
+        if done:
+            _, index, _, got = min(done)   # indices differ: no iterator compared
+            return index, got, dead
+    return None, [], dead
+
+
+def _acyclic(gens, part: Sequence[int]) -> bool:
+    """Whether the order pairs ``gens`` between the distinct classes of
+    ``part`` are acyclic: Kahn's topological sort removes every edge."""
+    succ: dict[int, list[int]] = {}
+    indeg: dict[int, int] = {}
+    for a, b in gens:
+        x, y = part[a], part[b]
+        if x != y:
+            succ.setdefault(x, []).append(y)
+            indeg[y] = indeg.get(y, 0) + 1
+    ready = [x for x in succ if x not in indeg]
+    for x in ready:   # the list grows while it is read
+        for y in succ.get(x, ()):
+            indeg[y] -= 1
+            if not indeg[y]:
+                ready.append(y)
+    return not any(indeg.values())
+
+
 def repair_search(h: Hda, covering: Covering | None = None,
                   node_budget: int = 10 ** 6) -> Verdict:
     """Merge events along homotopy pairs, depth first with backtracking.
@@ -542,7 +597,11 @@ def repair_search(h: Hda, covering: Covering | None = None,
     fewest of them is repaired first, so forced repairs (two-step
     interleavings included) chain before anything branches.  Branches whose
     quotient order turns cyclic are dropped; a clash between distinct cells
-    backtracks.
+    backtracks.  Once a clash is kept as the witness, a node on which two
+    distinct cells share a quotient configuration is skipped with its whole
+    subtree: merging never separates them, so no coarsening is proper.  The
+    other nodes are visited in the same order as without this pruning, so
+    the answer is the same, but ``nodes_explored`` can be lower.
     """
     if covering is None:
         covering = path_covering(h)
@@ -551,92 +610,81 @@ def repair_search(h: Hda, covering: Covering | None = None,
     if mismatch is not None:
         return Verdict(False, witness=mismatch)
 
-    # base classes started together along some path may never be identified
-    cooccur: dict[str, set[str]] = {r: set() for r in ue.reps}
-    for cfg in covering.structure.configs:
-        started = sorted(cfg.started)
-        for x in started:
-            for y in started:
-                if x != y:
-                    cooccur[x].add(y)
+    # events started together along some path may never be identified
+    cooccur = [0] * len(ue.reps)
+    for s, _ in {k for ms in covering.masks.values() for k in ms}:
+        rest = s
+        while rest:
+            low = rest & -rest
+            cooccur[low.bit_length() - 1] |= s
+            rest ^= low
 
     first_clash: Witness | None = None
     nodes = 0
-    decl = {r: i for i, r in enumerate(ue.reps)}
-    stack: list[UnionFind] = [UnionFind(ue.reps)]
-    seen: set[frozenset[frozenset[str]]] = set()
+    index = {r: i for i, r in enumerate(ue.reps)}
+    gens = [(index[a], index[b]) for a, b in ue.generators]
+    normal: dict = {}   # (cell, config) -> its witness path's normal form
+    # a partition is the tuple giving each event its class's earliest member
+    stack: list[tuple[int, ...]] = [tuple(range(len(ue.reps)))]
+    seen: set[tuple[int, ...]] = set()
     while stack:
-        uf = stack.pop()
+        part = stack.pop()
         nodes += 1
         if nodes > node_budget:
             raise ResourceLimitError(f"repair search exceeded {node_budget} nodes")
-        groups: dict[str, list[str]] = {}
-        for r in ue.reps:
-            groups.setdefault(uf.find(r), []).append(r)
-        fingerprint = frozenset(frozenset(ms) for ms in groups.values())
-        if fingerprint in seen:
-            continue  # the same partition was reached along another merge order
-        seen.add(fingerprint)
-        canon = {root: min(ms, key=decl.__getitem__) for root, ms in groups.items()}
-        rep_map = {r: canon[uf.find(r)] for r in ue.reps}
-        order = _quotient_order(ue, rep_map)
-        if _order_cycle(order) is not None:
-            continue
-        members = {rep_map[r]: groups[uf.find(r)] for r in ue.reps}
+        if part in seen or not _acyclic(gens, part):
+            continue  # reached along another merge order, or (the root) cyclic
+        seen.add(part)
+        rep_map = {r: ue.reps[c] for r, c in zip(ue.reps, part)}
         table = _class_bits(ue, rep_map)
+        if first_clash is not None and _clash(
+                (c, _cell_keys(covering.masks[c], table)) for c in h.all_cells()):
+            continue
+        order = _quotient_order(ue, rep_map)
+        members: dict[str, list[str]] = {}
+        for r in ue.reps:
+            members.setdefault(rep_map[r], []).append(r)
 
         def compatible(x, y):
             # merging order-comparable classes always collapses a square's
             # concurrent pair somewhere along the connecting chain
             if (x, y) in order or (y, x) in order:
                 return False
-            return not any(v in cooccur[u]
-                           for u in members[x] for v in members[y])
+            in_y = sum(1 << index[v] for v in members[y])
+            return not any(cooccur[index[u]] & in_y for u in members[x])
 
-        # gather the most constrained repairable conflict: fewest admissible
-        # pairings first, shorter pairs breaking ties, so forced repairs
-        # chain before anything branches
-        best = None
-        best_key = None
-        dead_conflict = False
-        any_conflict = False
-        for cell in h.grade(0):
-            keys = _cell_keys(covering.masks[cell], table)
-            if len(set(keys)) < 2:
-                continue
-            any_conflict = True
-            edges_a, edges_b, states_a, states_b = _homotopy_pair(
-                h, covering, cell, keys)
-            if len(edges_a) < 2:
-                dead_conflict = True
-                continue
-            labels_a = tuple(rep_map[ue.label(e)] for e in edges_a)
-            labels_b = tuple(rep_map[ue.label(e)] for e in edges_b)
-            diverged = [sa != sb for sa, sb in zip(states_a, states_b)]
-            taus = list(_matchings(labels_a, labels_b, compatible, diverged))
-            if not taus:
-                dead_conflict = True
-                continue
-            key = (len(taus), len(edges_a))
-            if best_key is None or key < best_key:
-                best, best_key = (edges_a, edges_b, taus), key
-                if key[0] == 1:
-                    break
-        if not any_conflict:
+        # repair the most constrained conflict: fewest admissible pairings
+        # first, shorter pairs breaking ties, so forced repairs chain before
+        # anything branches
+        pairs = []
+
+        def conflicts():
+            for cell in h.grade(0):
+                keys = _cell_keys(covering.masks[cell], table)
+                if len(set(keys)) > 1:
+                    pairs.append(_homotopy_pair(h, covering, cell, keys, normal))
+                    edges_a, edges_b, states_a, states_b = pairs[-1]
+                    yield len(edges_a), _matchings(
+                        tuple(rep_map[ue.label(e)] for e in edges_a),
+                        tuple(rep_map[ue.label(e)] for e in edges_b), compatible,
+                        [sa != sb for sa, sb in zip(states_a, states_b)])
+
+        chosen, taus, dead_conflict = _fewest_matchings(conflicts())
+        if not pairs:
             ok, violation = _check_quotient(h, covering, rep_map)
             if ok:
-                return Verdict(True, partition=partition_of(ue, groups.values()),
+                return Verdict(True, partition=partition_of(ue, members.values()),
                                sculpture=_embed(h, covering, rep_map),
                                nodes_explored=nodes, ue=ue)
             if violation.clause == 3 and first_clash is None:
                 first_clash = Witness("label_clash", cells=violation.cells,
                                       config=violation.configs[0])
             continue
-        if best is not None and dead_conflict and len(best[2]) > 1:
+        if dead_conflict and len(taus) > 1:
             # an irreparable conflict remains, so only forced repairs are
             # worth following for the sake of a sharper witness
-            best = None
-        if best is None:
+            chosen = None
+        if chosen is None:
             # the branch dies; if the merges so far already label two
             # distinct cells alike, report that pair as the obstruction
             clash = None if first_clash is not None else _clash(
@@ -645,23 +693,21 @@ def repair_search(h: Hda, covering: Covering | None = None,
                 first_clash = Witness("label_clash", cells=clash[:2],
                                       config=_key_config(ue, clash[2]))
             continue
-        edges_a, edges_b, taus = best
-        n = len(edges_a)
+        edges_a, edges_b = ([index[ue.label(e)] for e in edges]
+                            for edges in pairs[chosen][:2])
         children = []
         for tau in taus:
             nodes += 1
             if nodes > node_budget:
                 raise ResourceLimitError(
                     f"repair search exceeded {node_budget} nodes")
-            child = UnionFind(parent=uf.parent)
-            merged = False
-            for i in range(n):
-                merged |= child.union(ue.label(edges_a[i]),
-                                      ue.label(edges_b[tau[i]]))
-            if not merged:
-                continue
-            child_map = {r: child.find(r) for r in ue.reps}
-            if _order_cycle(_quotient_order(ue, child_map)) is None:
+            child = part
+            for i, j in tau.items():
+                x, y = child[edges_a[i]], child[edges_b[j]]
+                if x != y:   # merge the two classes under the smaller index
+                    lo, hi = (x, y) if x < y else (y, x)
+                    child = tuple([lo if c == hi else c for c in child])
+            if child != part and _acyclic(gens, child):
                 children.append(child)
         stack.extend(reversed(children))
     if first_clash is not None:
@@ -679,8 +725,9 @@ def decide_sculptable(h: Hda, oracle: bool = False, max_events: int = 10,
                       node_budget: int = 10 ** 6) -> Verdict:
     """Decide whether ``h`` embeds into some bulk, with a certificate.
 
-    Pipeline: structural validation, connectivity, orderedness, then the
-    path covering feeding either the repair search or (with ``oracle``) the
+    Pipeline: structural validation, connectivity, orderedness,
+    non-repeating events and acyclicity, each checked once, then the path
+    covering feeding either the repair search or (with ``oracle``) the
     exhaustive one.  Positive verdicts carry a validated sculpture; an
     exhausted repair search is cross-checked exhaustively when small enough
     and flagged heuristic otherwise.
@@ -694,12 +741,16 @@ def decide_sculptable(h: Hda, oracle: bool = False, max_events: int = 10,
     ordered, cycle = is_ordered(h.base, ue)
     if not ordered:
         return Verdict(False, witness=Witness("not_ordered", cycle=tuple(cycle)))
+    ok, path = has_non_repeating_events(h, ue)
+    if not ok:
+        return Verdict(False, witness=Witness("repeating_events", path=path))
+    acyclic, pair = is_acyclic(h)
+    if not acyclic:
+        return Verdict(False, witness=Witness("cyclic", cells=tuple(pair)))
     try:
-        covering = path_covering(h, ue)
-    except RepeatingEventsError as exc:
+        covering = _covering(h, ue)
+    except RepeatingEventsError as exc:   # an event restarted through a higher cell
         return Verdict(False, witness=Witness("repeating_events", path=exc.path))
-    except CyclicError as exc:
-        return Verdict(False, witness=Witness("cyclic", cells=tuple(exc.pair)))
     if oracle:
         verdict = brute_force_search(h, covering, max_events=max_events)
     else:

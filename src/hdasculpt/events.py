@@ -8,6 +8,7 @@ cheap at the sizes this library targets.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -42,9 +43,9 @@ class UniversalEvents:
 class UnionFind:
     __slots__ = ("parent",)
 
-    def __init__(self, items: Iterable[str] = (), parent: Mapping | None = None):
-        """Singleton classes of ``items``, or a copy of another's ``parent``."""
-        self.parent = dict(parent) if parent else {x: x for x in items}
+    def __init__(self, items: Iterable[str] = ()):
+        """Singleton classes of ``items``."""
+        self.parent = {x: x for x in items}
 
     def find(self, x: str) -> str:
         p = self.parent
@@ -141,31 +142,28 @@ def is_consistent(P, ue: UniversalEvents | None = None):
 
 
 def _find_order_cycle(ue: UniversalEvents):
+    """A generator cycle [a, .., a] through the earliest-declared class on a
+    cycle, shortest by breadth-first search, or None."""
+    a = next((r for r in ue.reps if (r, r) in ue.order), None)
+    if a is None:
+        return None
     succ: dict[str, list[str]] = {r: [] for r in ue.reps}
-    for a, b in ue.generators:
-        succ[a].append(b)
-    for a, b in ue.generators:
-        if a == b:
-            return [a, a]
-    # a cycle exists iff some (a, b) and (b, a) are both in the closure
-    for a, b in ue.order:
-        if (b, a) in ue.order:
-            # recover an explicit generator cycle a -> .. -> a by BFS
-            parent = {a: None}
-            queue = [a]
-            while queue:
-                v = queue.pop(0)
-                for w in succ[v]:
-                    if w == a:
-                        cyc = [a]
-                        while v is not None:
-                            cyc.append(v)
-                            v = parent[v]
-                        cyc.reverse()
-                        return cyc + [a] if cyc[0] != a else cyc + [a]
-                    if w not in parent:
-                        parent[w] = v
-                        queue.append(w)
+    for x, y in ue.generators:
+        succ[x].append(y)
+    parent: dict[str, str | None] = {a: None}
+    queue = deque([a])
+    while queue:
+        v = queue.popleft()
+        for w in succ[v]:
+            if w == a:
+                cyc = [a]
+                while v is not None:
+                    cyc.append(v)
+                    v = parent[v]
+                return cyc[::-1]
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
     return None
 
 

@@ -7,10 +7,10 @@ from hypothesis import strategies as hst
 from hdasculpt import (CyclicError, NotConnectedError, RepeatingEventsError,
                        ResourceLimitError, StConfig, brute_force_search,
                        build_embedding, check_proper, corpus,
-                       decide_sculptable, discrete_partition, hda, make_bulk,
-                       multilabel, partition_of, path_covering, repair_search,
-                       rooted_paths, universal_events, validate_path,
-                       validate_sculpture)
+                       decide_sculptable, discrete_partition, hda,
+                       is_connected, make_bulk, multilabel, partition_of,
+                       path_covering, repair_search, rooted_paths,
+                       universal_events, validate_path, validate_sculpture)
 from hdasculpt.decision import partition_from_rgs, restricted_growth_strings
 from hdasculpt.errors import HdaError, NotProperError
 from hdasculpt.precubical import elementary_homotopies
@@ -439,6 +439,47 @@ def test_exhausted_repair_is_cross_checked():
     v3 = decide_sculptable(h, max_events=1)
     assert not v3.sculptable
     assert v3.heuristic_incomplete
+
+
+def test_decision_checks_connectivity_once(monkeypatch):
+    import hdasculpt.decision as decision
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return is_connected(h)
+
+    monkeypatch.setattr(decision, "is_connected", counted)
+    assert decide_sculptable(corpus.matchbox()).sculptable
+    assert len(calls) == 1
+
+
+def _fewest_by_listing(conflicts):
+    """The rule the lockstep choice keeps: list every conflict's matchings,
+    take the first with exactly one, or else the least (count, size), the
+    earliest on a tie."""
+    listed = [(size, list(it)) for size, it in conflicts]
+    singles = [i for i, (_, taus) in enumerate(listed) if len(taus) == 1]
+    live = [(len(taus), size, i) for i, (size, taus) in enumerate(listed) if taus]
+    i = singles[0] if singles else min(live, default=(0, 0, None))[2]
+    return (i, [] if i is None else listed[i][1],
+            any(not taus for _, taus in listed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.lists(hst.tuples(hst.integers(0, 4), hst.integers(0, 6)), max_size=6))
+def test_lockstep_choice_equals_listing_every_matching(shapes):
+    from hdasculpt.decision import _fewest_matchings
+
+    def conflicts():
+        for size, count in shapes:
+            yield size, iter([{0: k} for k in range(count)])
+
+    got = _fewest_matchings(conflicts())
+    want = _fewest_by_listing(conflicts())
+    assert got[:2] == want[:2]
+    if len(want[1]) != 1:   # a forced choice ignores the dead flag
+        assert got[2] == want[2]
 
 
 def test_universal_events_serialization():

@@ -84,6 +84,25 @@ def test_orderedness_classification():
     assert is_ordered(corpus.wheel().base)[0]
 
 
+def test_order_cycle_closes_once_and_does_not_follow_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+
+    import hdasculpt
+    code = ("from hdasculpt import corpus, is_ordered\n"
+            "print(is_ordered(corpus.three_squares().base)[1])")
+    src = os.path.dirname(os.path.dirname(hdasculpt.__file__))
+    cycles = {subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                             capture_output=True,
+                             env={**os.environ, "PYTHONPATH": src,
+                                  "PYTHONHASHSEED": seed}).stdout
+              for seed in "1234"}
+    assert len(cycles) == 1
+    cycle = is_ordered(corpus.three_squares().base)[1]
+    assert cycle[0] == cycle[-1] and len(cycle) == len(set(cycle)) + 1
+
+
 def test_non_repeating_detects_identified_corners():
     h = corpus.repeating_square()
     ok, witness = has_non_repeating_events(h)

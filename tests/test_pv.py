@@ -81,7 +81,25 @@ def test_two_mutex_complex_matches_brute_force():
 def test_two_mutex_hda_is_sculptable():
     emb = pv_to_complex(parse_pv(TWO_MUTEX))
     assert is_connected(emb.hda)
-    assert decide_sculptable(emb.hda).sculptable
+    v = decide_sculptable(emb.hda)
+    assert v.sculptable and v.d == 8
+    # the count pins down which conflict each node repairs; the clashing
+    # nodes the search prunes here are leaves, so it is the unpruned count
+    assert v.nodes_explored == 32_919
+
+
+@pytest.mark.parametrize("text, d, nodes", [
+    ("P(a) P(b) V(b) V(a) P(c) V(c)\nP(b) P(a) V(a) V(b) P(c) V(c)\n", 12, 592),
+    ("P(a) V(a)\n" * 4, 8, None),
+    ("P(a) V(a) P(a) V(a) P(a) V(a)\n" * 2, 12, None),
+], ids=["two_mutex_tail", "mutex4", "seq2x3"])
+def test_branching_pv_programs_are_decided_within_the_default_budget(text, d, nodes):
+    # two_mutex with a tail, four processes on one mutex, and two processes
+    # taking one mutex three times each; the last two reach a clash early
+    # and are decided only because the search prunes below it
+    v = decide_sculptable(pv_to_complex(parse_pv(text)).hda)
+    assert v.sculptable and v.d == d
+    assert nodes is None or v.nodes_explored == nodes
 
 
 def test_single_process_is_a_two_edge_path():
