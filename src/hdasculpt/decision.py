@@ -440,7 +440,8 @@ def _homotopy_pair(h: Hda, covering: Covering, cell: str,
     pair spans exactly the divergence, and returns the shortest suffix pair
     (ties broken lexicographically on labels) together with the states the
     two routes pass through.  ``normal`` caches the normal forms by (cell,
-    configuration), since they do not depend on the partition.
+    configuration) and each pair's divergence by (cell, configuration,
+    configuration), since neither depends on the partition.
     """
     by_quotient: dict[tuple[int, int], StConfig] = {}
     for cfg, key in zip(covering.configs[cell], keys):
@@ -448,45 +449,67 @@ def _homotopy_pair(h: Hda, covering: Covering, cell: str,
     for cfg in by_quotient.values():
         if (cell, cfg) not in normal:
             normal[cell, cfg] = normalize_path(h, covering.witness(cell, cfg))
-    normalized = [normal[cell, cfg] for cfg in by_quotient.values()]
     best = None
-    for pa, pb in itertools.combinations(normalized, 2):
-        common = 0
-        while (common < len(pa.steps) and common < len(pb.steps)
-               and pa.steps[common] == pb.steps[common]):
-            common += 1
-        # also drop any shared tail, so the pair spans just the divergence;
-        # only whole start-then-terminate pairs may go, which keeps both
-        # remainders ending at one state
-        tail = 0
-        while (common + tail < len(pa.steps) and common + tail < len(pb.steps)
-               and pa.steps[len(pa.steps) - 1 - tail]
-               == pb.steps[len(pb.steps) - 1 - tail]):
-            tail += 1
-        tail -= tail % 2
-        edges_a = [s.target for s in pa.steps[common:len(pa.steps) - tail]
-                   if s.direction == "s"]
-        edges_b = [s.target for s in pb.steps[common:len(pb.steps) - tail]
-                   if s.direction == "s"]
-        states_a = [s.target for s in pa.steps[common:len(pa.steps) - tail]
-                    if s.direction == "t"]
-        states_b = [s.target for s in pb.steps[common:len(pb.steps) - tail]
-                    if s.direction == "t"]
-        labels_a = tuple(covering.ue.label(e) for e in edges_a)
-        labels_b = tuple(covering.ue.label(e) for e in edges_b)
-        key = (len(edges_a), labels_a, labels_b, tuple(edges_a), tuple(edges_b))
-        alt = (len(edges_a), labels_b, labels_a, tuple(edges_b), tuple(edges_a))
-        if alt < key:
-            key = alt
-            edges_a, edges_b = edges_b, edges_a
-            states_a, states_b = states_b, states_a
-        if best is None or key < best[0]:
-            best = (key, edges_a, edges_b, states_a, states_b)
-    return best[1], best[2], best[3], best[4]
+    for ca, cb in itertools.combinations(by_quotient.values(), 2):
+        pair = normal.get((cell, ca, cb))
+        if pair is None:
+            pa, pb = normal[cell, ca], normal[cell, cb]
+            common = 0
+            while (common < len(pa.steps) and common < len(pb.steps)
+                   and pa.steps[common] == pb.steps[common]):
+                common += 1
+            # also drop any shared tail, so the pair spans just the divergence;
+            # only whole start-then-terminate pairs may go, which keeps both
+            # remainders ending at one state
+            tail = 0
+            while (common + tail < len(pa.steps) and common + tail < len(pb.steps)
+                   and pa.steps[len(pa.steps) - 1 - tail]
+                   == pb.steps[len(pb.steps) - 1 - tail]):
+                tail += 1
+            tail -= tail % 2
+            edges_a = [s.target for s in pa.steps[common:len(pa.steps) - tail]
+                       if s.direction == "s"]
+            edges_b = [s.target for s in pb.steps[common:len(pb.steps) - tail]
+                       if s.direction == "s"]
+            states_a = [s.target for s in pa.steps[common:len(pa.steps) - tail]
+                        if s.direction == "t"]
+            states_b = [s.target for s in pb.steps[common:len(pb.steps) - tail]
+                        if s.direction == "t"]
+            labels_a = tuple(covering.ue.label(e) for e in edges_a)
+            labels_b = tuple(covering.ue.label(e) for e in edges_b)
+            key = (len(edges_a), labels_a, labels_b, tuple(edges_a), tuple(edges_b))
+            alt = (len(edges_a), labels_b, labels_a, tuple(edges_b), tuple(edges_a))
+            if alt < key:
+                key = alt
+                edges_a, edges_b = edges_b, edges_a
+                states_a, states_b = states_b, states_a
+            pair = normal[cell, ca, cb] = (key, edges_a, edges_b, states_a, states_b)
+        if best is None or pair[0] < best[0]:
+            best = pair
+    return best[1:]
+
+
+def _pairing_options(labels_a, labels_b, compatible, diverged):
+    """Each position's admissible targets, and the masks of used targets
+    that map a proper prefix onto itself across a divergence; None when no
+    pairing is admissible (see ``_matchings``)."""
+    n = len(labels_a)
+    if (n < 2 or len(set(labels_a)) < n or len(set(labels_b)) < n
+            or labels_a[0] == labels_b[0] or labels_a[-1] == labels_b[-1]):
+        return None
+    pos_b = {lab: j for j, lab in enumerate(labels_b)}
+    free_b = [j for j, lab in enumerate(labels_b) if lab not in set(labels_a)]
+    targets = [[pos_b[lab]] if lab in pos_b else
+               [j for j in free_b if not i == j == 0 and not i == j == n - 1
+                and compatible(lab, labels_b[j])]
+               for i, lab in enumerate(labels_a)]
+    blocked = {(2 << k) - 1 for k in range(n - 1)
+               if diverged is not None and diverged[k]}
+    return targets, blocked
 
 
 def _matchings(labels_a, labels_b, compatible, diverged=None):
-    """All admissible pairings of two label suffixes, as index maps.
+    """All admissible pairings of two label suffixes, as tuples of targets.
 
     Positions whose labels are already identified must pair with each other,
     since a proper identification never merges two events of one suffix, so
@@ -494,77 +517,82 @@ def _matchings(labels_a, labels_b, compatible, diverged=None):
     classes never co-occur with theirs.  First may not pair with first nor
     last with last, a suffix repeating a class admits no pairing at all, and
     a pairing mapping a proper prefix onto itself would hand the two distinct
-    states after it the same configuration (``diverged`` flags those cuts).
-    Suffixes shorter than two positions admit none either.
+    states after it the same configuration (``diverged[k]`` flags the cut
+    after position k).  Suffixes shorter than two positions admit none either.
     """
-    n = len(labels_a)
-    if n < 2 or len(set(labels_a)) < n or len(set(labels_b)) < n:
+    options = _pairing_options(labels_a, labels_b, compatible, diverged)
+    if options is None:
         return
-    if labels_a[0] == labels_b[0] or labels_a[-1] == labels_b[-1]:
-        return
-    pos_b = {lab: j for j, lab in enumerate(labels_b)}
-    forced = {i: pos_b[lab] for i, lab in enumerate(labels_a) if lab in pos_b}
-    free_a = [i for i in range(n) if i not in forced]
-    free_b = [j for j in range(n) if j not in set(forced.values())]
-    allowed = {
-        i: [j for j in free_b
-            if not (i == 0 and j == 0) and not (i == n - 1 and j == n - 1)
-            and compatible(labels_a[i], labels_b[j])]
-        for i in free_a}
+    targets, blocked = options
+    tau: list[int] = []
 
-    def prefix_blocked(tau):
-        if diverged is None:
-            return False
-        block = 0
-        for k in range(n - 1):
-            block = max(block, tau[k])
-            if block == k and diverged[k]:
-                return True
-        return False
-
-    def assign(idx, used, tau):
-        if idx == len(free_a):
-            if not prefix_blocked(tau):
-                yield dict(tau)
+    def assign(k, used):
+        if k == len(targets):
+            yield tuple(tau)
             return
-        i = free_a[idx]
-        for j in allowed[i]:
-            if j not in used:
-                tau[i] = j
-                used.add(j)
-                yield from assign(idx + 1, used, tau)
-                used.discard(j)
-                del tau[i]
+        for j in targets[k]:
+            if not used >> j & 1 and used | 1 << j not in blocked:
+                tau.append(j)
+                yield from assign(k + 1, used | 1 << j)
+                tau.pop()
 
-    yield from assign(0, set(), dict(forced))
+    yield from assign(0, 0)
+
+
+def _count_matchings(labels_a, labels_b, compatible, diverged=None):
+    """How many pairings ``_matchings`` yields, without listing them: a
+    dynamic program over the positions in order, keyed by the mask of the
+    target positions used so far."""
+    options = _pairing_options(labels_a, labels_b, compatible, diverged)
+    if options is None:
+        return 0
+    targets, blocked = options
+    ways = {0: 1}
+    for row in targets:
+        step: dict[int, int] = {}
+        for used, count in ways.items():
+            for j in row:
+                if not used >> j & 1 and used | 1 << j not in blocked:
+                    step[used | 1 << j] = step.get(used | 1 << j, 0) + count
+        ways = step
+    return sum(ways.values())
 
 
 def _fewest_matchings(conflicts):
-    """The conflict with the fewest matchings, listing no more of any than that.
+    """The conflict with the fewest matchings, counting each and listing none.
 
-    ``conflicts`` yields (size, matchings iterator) pairs, read lazily.  The
-    first conflict with exactly one matching wins at once; otherwise the
-    least (count, size), the earliest on a tie.  The iterators advance in
-    lockstep, so the first to run out have the fewest.  Returns the winner's
-    index (or None), its matchings in order, and whether a conflict has none.
+    ``conflicts`` yields (size, ``_matchings`` arguments) pairs, read lazily.
+    The first conflict with exactly one matching wins at once; otherwise the
+    least (count, size), the earliest on a tie.  Returns the winner's index
+    (or None), its count, its unread matchings, from which the repair search
+    pulls (and counts in ``nodes_explored``) one child at a time, and whether
+    a conflict read before the choice has none.
     """
-    live, dead = [], False
-    for index, (size, it) in enumerate(conflicts):
-        got = list(itertools.islice(it, 2))
-        if len(got) == 1:
-            return index, got, dead
-        dead |= not got
-        if got:
-            live.append((size, index, it, got))
-    while live:
-        count = len(live[0][3])   # every live conflict has this many so far
-        for _, _, it, got in live:
-            got.extend(itertools.islice(it, 1))
-        done = [entry for entry in live if len(entry[3]) == count]
-        if done:
-            _, index, _, got = min(done)   # indices differ: no iterator compared
-            return index, got, dead
-    return None, [], dead
+    best, dead = None, False
+    for index, (size, args) in enumerate(conflicts):
+        count = _count_matchings(*args)
+        if count == 1:
+            return index, 1, _matchings(*args), dead
+        dead |= not count
+        if count and (best is None or (count, size) < best[0]):
+            best = (count, size), index, args
+    if best is None:
+        return None, 0, iter(()), dead
+    (count, _), index, args = best
+    return index, count, _matchings(*args), dead
+
+
+def _children(part, taus, edges_a, edges_b):
+    """Per pairing in ``taus``, ``part`` with each matched pair's classes merged."""
+    for tau in taus:
+        child = part
+        for i, j in enumerate(tau):
+            x, y = child[edges_a[i]], child[edges_b[j]]
+            if x != y:   # merge the two classes under the smaller index
+                lo, hi = (x, y) if x < y else (y, x)
+                child = tuple([lo if c == hi else c for c in child])
+        if child != part:
+            yield child
 
 
 def _acyclic(gens, part: Sequence[int]) -> bool:
@@ -601,7 +629,8 @@ def repair_search(h: Hda, covering: Covering | None = None,
     distinct cells share a quotient configuration is skipped with its whole
     subtree: merging never separates them, so no coarsening is proper.  The
     other nodes are visited in the same order as without this pruning, so
-    the answer is the same, but ``nodes_explored`` can be lower.
+    the answer is the same, but ``nodes_explored`` can be lower.  A child is
+    built only when pulled, so ``nodes_explored`` counts the children pulled.
     """
     if covering is None:
         covering = path_covering(h)
@@ -623,17 +652,21 @@ def repair_search(h: Hda, covering: Covering | None = None,
     nodes = 0
     index = {r: i for i, r in enumerate(ue.reps)}
     gens = [(index[a], index[b]) for a, b in ue.generators]
-    normal: dict = {}   # (cell, config) -> its witness path's normal form
-    # a partition is the tuple giving each event its class's earliest member
-    stack: list[tuple[int, ...]] = [tuple(range(len(ue.reps)))]
+    normal: dict = {}   # normal forms and pair divergences, see _homotopy_pair
+    # a partition is the tuple giving each event its class's earliest member;
+    # the stack holds, per expanded node, the generator of its children
+    stack = [iter([tuple(range(len(ue.reps)))])]
     seen: set[tuple[int, ...]] = set()
     while stack:
-        part = stack.pop()
+        part = next(stack[-1], None)
+        if part is None:
+            stack.pop()
+            continue
         nodes += 1
         if nodes > node_budget:
             raise ResourceLimitError(f"repair search exceeded {node_budget} nodes")
         if part in seen or not _acyclic(gens, part):
-            continue  # reached along another merge order, or (the root) cyclic
+            continue  # reached along another merge order, or cyclic
         seen.add(part)
         rep_map = {r: ue.reps[c] for r, c in zip(ue.reps, part)}
         table = _class_bits(ue, rep_map)
@@ -645,9 +678,10 @@ def repair_search(h: Hda, covering: Covering | None = None,
         for r in ue.reps:
             members.setdefault(rep_map[r], []).append(r)
 
-        def compatible(x, y):
+        def compatible(x, y, order=order, members=members):
             # merging order-comparable classes always collapses a square's
-            # concurrent pair somewhere along the connecting chain
+            # concurrent pair somewhere along the connecting chain (order and
+            # members are bound now: the matchings are read after this pass)
             if (x, y) in order or (y, x) in order:
                 return False
             in_y = sum(1 << index[v] for v in members[y])
@@ -664,12 +698,12 @@ def repair_search(h: Hda, covering: Covering | None = None,
                 if len(set(keys)) > 1:
                     pairs.append(_homotopy_pair(h, covering, cell, keys, normal))
                     edges_a, edges_b, states_a, states_b = pairs[-1]
-                    yield len(edges_a), _matchings(
+                    yield len(edges_a), (
                         tuple(rep_map[ue.label(e)] for e in edges_a),
                         tuple(rep_map[ue.label(e)] for e in edges_b), compatible,
                         [sa != sb for sa, sb in zip(states_a, states_b)])
 
-        chosen, taus, dead_conflict = _fewest_matchings(conflicts())
+        chosen, count, taus, dead_conflict = _fewest_matchings(conflicts())
         if not pairs:
             ok, violation = _check_quotient(h, covering, rep_map)
             if ok:
@@ -680,7 +714,7 @@ def repair_search(h: Hda, covering: Covering | None = None,
                 first_clash = Witness("label_clash", cells=violation.cells,
                                       config=violation.configs[0])
             continue
-        if dead_conflict and len(taus) > 1:
+        if dead_conflict and count > 1:
             # an irreparable conflict remains, so only forced repairs are
             # worth following for the sake of a sharper witness
             chosen = None
@@ -695,21 +729,7 @@ def repair_search(h: Hda, covering: Covering | None = None,
             continue
         edges_a, edges_b = ([index[ue.label(e)] for e in edges]
                             for edges in pairs[chosen][:2])
-        children = []
-        for tau in taus:
-            nodes += 1
-            if nodes > node_budget:
-                raise ResourceLimitError(
-                    f"repair search exceeded {node_budget} nodes")
-            child = part
-            for i, j in tau.items():
-                x, y = child[edges_a[i]], child[edges_b[j]]
-                if x != y:   # merge the two classes under the smaller index
-                    lo, hi = (x, y) if x < y else (y, x)
-                    child = tuple([lo if c == hi else c for c in child])
-            if child != part and _acyclic(gens, child):
-                children.append(child)
-        stack.extend(reversed(children))
+        stack.append(_children(part, taus, edges_a, edges_b))
     if first_clash is not None:
         return Verdict(False, witness=first_clash, nodes_explored=nodes)
     return Verdict(False, witness=Witness(

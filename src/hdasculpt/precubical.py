@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple
 
-from .errors import IllegalPathError, ResourceLimitError
+from .errors import IllegalPathError, InvalidStructureError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -636,8 +636,25 @@ def precubical_to_json(P: PrecubicalSet) -> dict:
     }
 
 
+def _string_lists(data: Mapping, key: str) -> dict:
+    """``data[key]``, checked to be an object of lists of strings."""
+    table = data.get(key, None if key == "cells" else {})
+    if not isinstance(table, dict):
+        raise InvalidStructureError(f"HDA JSON: {key} is not an object")
+    for name, items in table.items():
+        if not isinstance(items, list):
+            raise InvalidStructureError(f'HDA JSON: {key}["{name}"] is not a list')
+        for i, item in enumerate(items):
+            if not isinstance(item, str):
+                raise InvalidStructureError(
+                    f'HDA JSON: {key}["{name}"][{i}] is not a string')
+    return table
+
+
 def precubical_from_json(data: Mapping) -> PrecubicalSet:
-    return precubical(data["cells"], data.get("s", {}), data.get("t", {}))
+    if not isinstance(data, dict):
+        raise InvalidStructureError("HDA JSON: the top level is not an object")
+    return precubical(*(_string_lists(data, key) for key in ("cells", "s", "t")))
 
 
 def hda_to_json(h: Hda) -> dict:
@@ -647,4 +664,7 @@ def hda_to_json(h: Hda) -> dict:
 
 
 def hda_from_json(data: Mapping) -> Hda:
-    return Hda(precubical_from_json(data), data["initial"])
+    base = precubical_from_json(data)
+    if not isinstance(data.get("initial"), str):
+        raise InvalidStructureError("HDA JSON: initial is not a string")
+    return Hda(base, data["initial"])

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hdasculpt import corpus, hda_from_json, hda_to_json, make_bulk
 from hdasculpt.cli import main
 
@@ -45,6 +47,22 @@ def test_check_invalid_input(tmp_path, capsys):
     code, out = run_cli(capsys, "check", str(path))
     assert code == 2
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[]", "top level"),
+    ('{"cells": 5, "initial": "a"}', "cells"),
+    ('{"cells": {"0": [["v"]]}, "initial": "v"}', 'cells["0"][0]'),
+    ('{"cells": {"0": ["v"]}, "initial": ["v"]}', "initial"),
+], ids=["top_level_list", "cells_not_an_object", "list_cell_id", "list_initial"])
+def test_check_malformed_hda_json_exits_2(tmp_path, capsys, text, where):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out = run_cli(capsys, "check", str(path))
+    assert code == 2
+    error = json.loads(out)
+    assert error["error"] == "InvalidStructureError"
+    assert where in error["message"]
 
 
 def test_bulk_zero(capsys):

@@ -1,5 +1,7 @@
 """The covering, proper identifications, both searches, and the pipeline."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -455,7 +457,7 @@ def test_decision_checks_connectivity_once(monkeypatch):
 
 
 def _fewest_by_listing(conflicts):
-    """The rule the lockstep choice keeps: list every conflict's matchings,
+    """The rule the chooser keeps: list every conflict's matchings,
     take the first with exactly one, or else the least (count, size), the
     earliest on a tie."""
     listed = [(size, list(it)) for size, it in conflicts]
@@ -466,20 +468,73 @@ def _fewest_by_listing(conflicts):
             any(not taus for _, taus in listed))
 
 
+@hst.composite
+def matching_args(draw, max_n=8):
+    """Arguments of ``_matchings``: two label suffixes over a small alphabet,
+    so labels are shared and sometimes repeat, a random compatibility
+    relation, and cut flags for all positions but the last, or none."""
+    rnd = draw(hst.randoms(use_true_random=True))
+    n = rnd.randint(0, max_n)
+    alphabet = "abcdefghijklmnop"[:rnd.randint(max(n, 1), 16)]
+    repeats = rnd.random() < 0.2
+    a, b = (tuple(rnd.choices(alphabet, k=n) if repeats
+                  else rnd.sample(alphabet, n)) for _ in range(2))
+    density = rnd.choice([0.3, 0.7, 1.0])
+    table = {(x, y): rnd.random() < density for x in alphabet for y in alphabet}
+    diverged = (None if rnd.random() < 0.3
+                else [rnd.random() < 0.5 for _ in range(n - 1)])
+    return a, b, lambda x, y: table[x, y], diverged
+
+
 @settings(max_examples=300, deadline=None)
-@given(hst.lists(hst.tuples(hst.integers(0, 4), hst.integers(0, 6)), max_size=6))
-def test_lockstep_choice_equals_listing_every_matching(shapes):
-    from hdasculpt.decision import _fewest_matchings
+@given(matching_args())
+def test_counting_matchings_equals_listing_them(args):
+    from hdasculpt.decision import _count_matchings, _matchings
+    assert _count_matchings(*args) == sum(1 for _ in _matchings(*args))
 
-    def conflicts():
-        for size, count in shapes:
-            yield size, iter([{0: k} for k in range(count)])
 
-    got = _fewest_matchings(conflicts())
-    want = _fewest_by_listing(conflicts())
-    assert got[:2] == want[:2]
+def _admissible_by_definition(labels_a, labels_b, compatible, diverged):
+    """Every permutation, in lexicographic order, that keeps the rules
+    ``_matchings`` documents."""
+    n = len(labels_a)
+    if (n < 2 or len(set(labels_a)) < n or len(set(labels_b)) < n
+            or labels_a[0] == labels_b[0] or labels_a[-1] == labels_b[-1]):
+        return []
+
+    def admissible(i, j):
+        if labels_a[i] in labels_b:
+            return labels_b[j] == labels_a[i]
+        return (labels_b[j] not in labels_a and not i == j == 0
+                and not i == j == n - 1 and compatible(labels_a[i], labels_b[j]))
+
+    def blocked(tau, k):   # maps positions 0..k onto themselves at a cut
+        return diverged and diverged[k] and set(tau[:k + 1]) == set(range(k + 1))
+
+    return [tau for tau in itertools.permutations(range(n))
+            if all(admissible(i, j) for i, j in enumerate(tau))
+            and not any(blocked(tau, k) for k in range(n - 1))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(matching_args(max_n=6))
+def test_matchings_are_the_admissible_permutations_in_order(args):
+    from hdasculpt.decision import _matchings
+    assert list(_matchings(*args)) == _admissible_by_definition(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.lists(matching_args(max_n=6), max_size=6))
+def test_lockstep_choice_equals_listing_every_matching(conflicts):
+    # the chooser counts each conflict's matchings and lists only the
+    # winner's; it must pick as listing every one would
+    from hdasculpt.decision import _fewest_matchings, _matchings
+    sized = [(len(args[0]), args) for args in conflicts]
+    index, count, taus, dead = _fewest_matchings(iter(sized))
+    want = _fewest_by_listing((size, _matchings(*args)) for size, args in sized)
+    assert (index, list(taus)) == want[:2]
+    assert count == len(want[1])
     if len(want[1]) != 1:   # a forced choice ignores the dead flag
-        assert got[2] == want[2]
+        assert dead == want[2]
 
 
 def test_universal_events_serialization():

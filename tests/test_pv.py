@@ -5,9 +5,87 @@ import itertools
 import pytest
 
 from hdasculpt import (HeldAtEndError, PvSyntaxError, UnmatchedReleaseError,
-                       decide_sculptable, is_connected, parse_pv, pv_to_complex)
+                       decide_sculptable, is_connected, parse_pv,
+                       partition_to_json, pv_to_complex)
 
 TWO_MUTEX = "P(a) P(b) V(b) V(a)\nP(b) P(a) V(a) V(b)\n"
+BRANCHING = {
+    "two_mutex": TWO_MUTEX,
+    "two_mutex_tail": ("P(a) P(b) V(b) V(a) P(c) V(c)\n"
+                       "P(b) P(a) V(a) V(b) P(c) V(c)\n"),
+    "ring3": "P(a) P(b) V(a) V(b)\nP(b) P(c) V(b) V(c)\nP(c) P(a) V(c) V(a)\n",
+    "mutex4": "P(a) V(a)\n" * 4,
+}
+
+# The partition each branching program's repair search returns, one class a
+# string of its member edges; pinned so that a change to which conflict a
+# node repairs, or to the order of its children, shows.
+PARTITIONS = {
+    "two_mutex": [
+        "0,0s 1,0s 2s,0",
+        "0,1s 1s,0",
+        "0,2s 3s,0 3s,1",
+        "0,3s 1,3s 4,1s",
+        "0s,0 0s,1 3s,4",
+        "0s,3 0s,4 3,0s 4,0s",
+        "1s,4 4,2s",
+        "2s,4 4,3s",
+    ],
+    "two_mutex_tail": [
+        "0,0s 1,0s 3,0s 4,0s 5,0s 6,0s",
+        "0,1s 4,1s 5,1s 6,1s",
+        "0,2s 4,2s 5,2s 6,2s",
+        "0,3s 1,3s 4,3s 5,3s 6,3s",
+        "0,4s 1,4s 2,4s 3,4s 4,4s 5s,0 5s,1 5s,2 5s,3 5s,4",
+        "0,5s 1,5s 2,5s 3,5s 4,5s 6,4s",
+        "0s,0 0s,1 0s,3 0s,4 0s,5 0s,6",
+        "1s,0 1s,4 1s,5 1s,6",
+        "2s,0 2s,4 2s,5 2s,6",
+        "3s,0 3s,1 3s,4 3s,5 3s,6",
+        "4s,0 4s,1 4s,2 4s,3 4s,4 5s,6",
+        "4s,6 6,5s",
+    ],
+    "ring3": [
+        ("0,0,0s 0,1,0s 0,4,0s 1,0,0s 1,1,0s 1,4,0s 2,0,0s 2,4,0s 3,0,0s "
+         "3,4,0s 4,0,0s 4,1,0s 4,4,0s"),
+        "0,0,1s 0,1,1s 0,1s,0 1,1s,0 1s,0,0 1s,0,1",
+        "0,0,2s 0,1,2s 0,2s,0 1,2s,0 2s,0,0 2s,0,1",
+        ("0,0,3s 0,1,3s 0,2,3s 0,3,3s 0,4,3s 3,0,1s 3,4,1s 4,0,1s 4,1,1s "
+         "4,4,1s"),
+        ("0,0s,0 0,0s,1 0,0s,2 0,0s,3 0,0s,4 1,0s,0 1,0s,1 1,0s,4 4,1s,0 "
+         "4,1s,3 4,1s,4"),
+        ("0,1s,3 0,1s,4 0,4,2s 0s,0,0 0s,0,1 0s,1,0 0s,1,1 0s,2,0 0s,3,0 "
+         "0s,4,0 0s,4,1 1,1s,4 2s,0,4"),
+        ("0,2s,3 0,2s,4 0,4,1s 1,2s,4 1s,0,4 3,0,3s 3,4,3s 4,0,3s 4,1,3s "
+         "4,2,3s 4,3,3s 4,4,3s"),
+        ("0,3s,0 0,3s,3 0,3s,4 1,3s,0 1,3s,4 2,3s,0 2,3s,4 3,3s,0 3,3s,4 "
+         "4,3s,0 4,3s,3 4,3s,4"),
+        ("0s,0,4 0s,1,4 0s,2,4 0s,3,4 0s,4,4 2s,3,0 2s,4,0 2s,4,1 3,0,2s "
+         "4,0,2s 4,1,2s 4,2s,0"),
+        ("1s,3,0 1s,3,4 1s,4,0 1s,4,1 1s,4,4 3s,0,0 3s,0,1 3s,0,2 3s,0,3 "
+         "3s,0,4"),
+        "2s,3,4 2s,4,4 3,4,2s 4,2s,3 4,2s,4 4,4,2s",
+        ("3s,3,0 3s,3,4 3s,4,0 3s,4,1 3s,4,2 3s,4,3 3s,4,4 4,0s,0 4,0s,1 "
+         "4,0s,2 4,0s,3 4,0s,4"),
+    ],
+    "mutex4": [
+        "0,0,0,0s 0,0,1s,0 0,1s,0,0 1s,0,0,0",
+        ("0,0,0,1s 0,0,2,0s 0,2,0,0s 0,2,2,0s 2,0,0,0s 2,0,2,0s 2,2,0,0s "
+         "2,2,2,0s"),
+        ("0,0,0s,0 0,0,1s,2 0,2,0s,0 0,2,1s,2 2,0,0s,0 2,0,1s,2 2,2,0s,0 "
+         "2,2,1s,2"),
+        ("0,0,0s,2 0,0,2,1s 0,0s,2,0 0,2,0s,2 0,2,1s,0 2,0,0s,2 2,0,2,1s "
+         "2,0s,2,0 2,2,0s,2 2,2,1s,0"),
+        ("0,0s,0,0 0,1s,0,2 0,1s,2,0 0,1s,2,2 2,0s,0,0 2,1s,0,2 2,1s,2,0 "
+         "2,1s,2,2"),
+        ("0,0s,0,2 0,0s,2,2 0,2,0,1s 0,2,2,1s 2,0s,0,2 2,0s,2,2 2,2,0,1s "
+         "2,2,2,1s"),
+        ("0s,0,0,0 1s,0,0,2 1s,0,2,0 1s,0,2,2 1s,2,0,0 1s,2,0,2 1s,2,2,0 "
+         "1s,2,2,2"),
+        ("0s,0,0,2 0s,0,2,0 0s,0,2,2 0s,2,0,0 0s,2,0,2 0s,2,2,0 0s,2,2,2 "
+         "2,0,0,1s 2,0,1s,0 2,1s,0,0"),
+    ],
+}
 
 
 def test_parse_two_mutex_program():
@@ -83,13 +161,43 @@ def test_two_mutex_hda_is_sculptable():
     assert is_connected(emb.hda)
     v = decide_sculptable(emb.hda)
     assert v.sculptable and v.d == 8
-    # the count pins down which conflict each node repairs; the clashing
-    # nodes the search prunes here are leaves, so it is the unpruned count
-    assert v.nodes_explored == 32_919
+    # the count of children pulled pins down which conflict each node
+    # repairs; the clashing nodes the search prunes here are leaves, so it is
+    # the unpruned count
+    assert v.nodes_explored == 3_910
+
+
+@pytest.mark.parametrize("name", sorted(BRANCHING))
+def test_branching_pv_programs_keep_their_partition(name):
+    v = decide_sculptable(pv_to_complex(parse_pv(BRANCHING[name])).hda)
+    assert [" ".join(c) for c in partition_to_json(v.ue, v.partition)] \
+        == PARTITIONS[name]
+
+
+def test_repair_search_builds_each_child_only_when_it_pulls_it(monkeypatch):
+    import hdasculpt.decision as decision
+    acyclic, class_bits = decision._acyclic, decision._class_bits
+    events = []   # each cycle check's answer, and "expand" per expanded node
+
+    def counted_acyclic(gens, part):
+        events.append(acyclic(gens, part))
+        return events[-1]
+
+    def counted_class_bits(ue, rep_map):
+        events.append("expand")
+        return class_bits(ue, rep_map)
+
+    monkeypatch.setattr(decision, "_acyclic", counted_acyclic)
+    monkeypatch.setattr(decision, "_class_bits", counted_class_bits)
+    v = decision.repair_search(pv_to_complex(parse_pv(TWO_MUTEX)).hda)
+    assert v.sculptable
+    assert sum(e != "expand" for e in events) <= v.nodes_explored
+    # a child that passes the cycle check is expanded before the next is built
+    assert all(b == "expand" for a, b in zip(events, events[1:]) if a is True)
 
 
 @pytest.mark.parametrize("text, d, nodes", [
-    ("P(a) P(b) V(b) V(a) P(c) V(c)\nP(b) P(a) V(a) V(b) P(c) V(c)\n", 12, 592),
+    ("P(a) P(b) V(b) V(a) P(c) V(c)\nP(b) P(a) V(a) V(b) P(c) V(c)\n", 12, 3),
     ("P(a) V(a)\n" * 4, 8, None),
     ("P(a) V(a) P(a) V(a) P(a) V(a)\n" * 2, 12, None),
 ], ids=["two_mutex_tail", "mutex4", "seq2x3"])
