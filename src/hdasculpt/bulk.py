@@ -14,7 +14,7 @@ from typing import Mapping
 from .errors import NotRegularError, ResourceLimitError
 from .events import EventPartition, UniversalEvents, universal_events
 from .precubical import (Hda, PrecubicalSet, Problem, ValidationReport,
-                         validate_hda)
+                         check_json_shape, hda_from_json, validate_hda)
 from .st_chu import (StStructure, check_regular, chu_string_to_config,
                      config_to_chu_string)
 
@@ -212,5 +212,5 @@ def sculpture_to_json(s: Sculpture) -> dict:
 
 
 def sculpture_from_json(data: Mapping) -> Sculpture:
-    from .precubical import hda_from_json
-    return Sculpture(hda_from_json(data["hda"]), int(data["d"]), dict(data["em"]))
+    check_json_shape("sculpture", data, {"hda": dict, "d": int, "em": {str: str}})
+    return Sculpture(hda_from_json(data["hda"]), data["d"], dict(data["em"]))

@@ -38,9 +38,9 @@ def _error(exc) -> int:
     return 2
 
 
-def _cmd_check(args, oracle: bool) -> int:
+def _cmd_check(args) -> int:
     h = hda_from_json(_load(args.input))
-    verdict = decide_sculptable(h, oracle=oracle, max_events=args.max_events,
+    verdict = decide_sculptable(h, oracle=args.oracle, max_events=args.max_events,
                                 node_budget=args.node_budget)
     _emit(verdict_to_json(verdict))
     return 0 if verdict.sculptable else 1
@@ -53,23 +53,28 @@ def _cmd_cover(args) -> int:
     return 0
 
 
+# (from, to) -> the conversion; text is printed as it is, the rest as JSON
+_CONVERSIONS = {
+    ("st", "chu"): lambda data: chu_to_json(st_to_chu(st_from_json(data))),
+    ("chu", "st"): lambda data: st_to_json(chu_to_st(chu_from_json(data))),
+    ("sculpture", "st"):
+        lambda data: st_to_json(sculpture_to_st(sculpture_from_json(data))),
+    ("st", "sculpture"):
+        lambda data: sculpture_to_json(st_to_sculpture(st_from_json(data))),
+    ("chu", "text"): lambda data: chu_to_text(chu_from_json(data)),
+}
+
+
 def _cmd_convert(args) -> int:
     data = _load(args.input)
-    src, dst = args.source, args.target
-    if (src, dst) == ("st", "chu"):
-        out = chu_to_json(st_to_chu(st_from_json(data)))
-    elif (src, dst) == ("chu", "st"):
-        out = st_to_json(chu_to_st(chu_from_json(data)))
-    elif (src, dst) == ("sculpture", "st"):
-        out = st_to_json(sculpture_to_st(sculpture_from_json(data)))
-    elif (src, dst) == ("st", "sculpture"):
-        out = sculpture_to_json(st_to_sculpture(st_from_json(data)))
-    elif (src, dst) == ("chu", "text"):
-        print(chu_to_text(chu_from_json(data)))
-        return 0
+    convert = _CONVERSIONS.get((args.source, args.target))
+    if convert is None:
+        raise ValueError(f"unsupported conversion {args.source} -> {args.target}")
+    out = convert(data)
+    if isinstance(out, str):
+        print(out)
     else:
-        raise ValueError(f"unsupported conversion {src} -> {dst}")
-    _emit(out)
+        _emit(out)
     return 0
 
 
@@ -146,13 +151,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="use the exhaustive partition search")
     add_search_flags(p)
+    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("oracle", help="exhaustive decision, for cross-checks")
     p.add_argument("input")
     add_search_flags(p)
+    p.set_defaults(func=_cmd_check, oracle=True)
 
     p = sub.add_parser("cover", help="emit the path-covering ST-structure")
     p.add_argument("input")
+    p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("convert", help="convert between representations")
     p.add_argument("--from", dest="source", required=True,
@@ -160,63 +168,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="target", required=True,
                    choices=["st", "chu", "sculpture", "text"])
     p.add_argument("input")
+    p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("bulk", help="emit the full d-cube as HDA JSON")
     p.add_argument("d", type=int)
+    p.set_defaults(func=_cmd_bulk)
 
     p = sub.add_parser("grid", help="emit a grid as HDA JSON")
     p.add_argument("sizes", type=int, nargs="+")
+    p.set_defaults(func=_cmd_grid)
 
     pv_parser = sub.add_parser("pv", help="PV program commands")
     pv_sub = pv_parser.add_subparsers(dest="pv_command", required=True)
     p = pv_sub.add_parser("build", help="build the complex and HDA of a PV file")
     p.add_argument("input")
+    p.set_defaults(func=_cmd_pv)
 
     corpus_parser = sub.add_parser("corpus", help="bundled example commands")
     corpus_sub = corpus_parser.add_subparsers(dest="corpus_command", required=True)
-    corpus_sub.add_parser("run", help="decide all fixtures against expectations")
+    p = corpus_sub.add_parser("run", help="decide all fixtures against expectations")
+    p.set_defaults(func=_cmd_corpus_run)
     p = corpus_sub.add_parser("export", help="write fixture JSON files")
     p.add_argument("directory")
+    p.set_defaults(func=_cmd_corpus_export)
 
     p = sub.add_parser("export", help="render an HDA JSON file")
     p.add_argument("input")
     p.add_argument("--format", choices=["json", "dot", "tikz"], default="json")
+    p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("random", help="emit seeded random test automata")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--max-events", type=int, default=6)
+    p.set_defaults(func=_cmd_random)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return _cmd_check(args, oracle=args.oracle)
-        if args.command == "oracle":
-            return _cmd_check(args, oracle=True)
-        if args.command == "cover":
-            return _cmd_cover(args)
-        if args.command == "convert":
-            return _cmd_convert(args)
-        if args.command == "bulk":
-            return _cmd_bulk(args)
-        if args.command == "grid":
-            return _cmd_grid(args)
-        if args.command == "pv":
-            return _cmd_pv(args)
-        if args.command == "corpus":
-            if args.corpus_command == "run":
-                return _cmd_corpus_run(args)
-            return _cmd_corpus_export(args)
-        if args.command == "export":
-            return _cmd_export(args)
-        if args.command == "random":
-            return _cmd_random(args)
+        return args.func(args)
     except (HdaError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         return _error(exc)
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ matched events along homotopy pairs, backtracking on clashes.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -20,13 +21,13 @@ from typing import Mapping, Sequence
 from .bulk import Sculpture, validate_sculpture
 from .errors import (CyclicError, InvalidStructureError, NotConnectedError,
                      NotProperError, RepeatingEventsError, ResourceLimitError)
-from .events import (EventPartition, UniversalEvents,
-                     has_non_repeating_events, is_ordered, multilabel,
-                     partition_of, partition_to_json, transitive_closure,
-                     universal_events)
+from .events import (EventPartition, UniversalEvents, class_indices,
+                     classes_by_label, has_non_repeating_events, is_ordered,
+                     multilabel, partition_of, partition_to_json,
+                     transitive_closure, universal_events)
 from .precubical import (Hda, Path, Step, coface_index, is_acyclic,
                          is_connected, normalize_path, validate_hda)
-from .st_chu import StConfig, StStructure, config_to_chu_string
+from .st_chu import StConfig, StStructure
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,7 @@ class Covering:
     labels: Mapping[str, tuple[str, ...]]  # cell -> multilabel (class reps)
     # cell -> per configuration, (started, terminated) as bitmasks over ue.reps
     masks: Mapping[str, tuple[tuple[int, int], ...]]
+    gens: tuple[tuple[int, int], ...]   # ue.generators, as positions in ue.reps
     _parents: Mapping = field(repr=False)
 
     def witness(self, cell: str, cfg: StConfig) -> Path:
@@ -107,7 +109,8 @@ def _covering(h: Hda, ue: UniversalEvents) -> Covering:
                 queue.append(new_key)
     structure = StStructure(
         ue.reps, frozenset(c for cs in configs.values() for c in cs))
-    bit = {r: 1 << i for i, r in enumerate(ue.reps)}
+    index = {r: i for i, r in enumerate(ue.reps)}
+    bit = {r: 1 << i for r, i in index.items()}
     return Covering(ue=ue,
                     configs={c: tuple(cs) for c, cs in configs.items()},
                     structure=structure,
@@ -116,6 +119,7 @@ def _covering(h: Hda, ue: UniversalEvents) -> Covering:
                                      sum(map(bit.__getitem__, k.terminated)))
                                     for k in cs)
                            for c, cs in configs.items()},
+                    gens=tuple((index[a], index[b]) for a, b in ue.generators),
                     _parents=parents)
 
 
@@ -132,39 +136,17 @@ class Violation:
     cycle: tuple[str, ...] = ()
 
 
-def _part_reps(ue: UniversalEvents, partition: EventPartition):
-    return {r: min(part, key=ue.reps.index) for part in partition for r in part}
+# The quotient kernel.  A partition is a class-index tuple: each universal
+# event (a position in ``ue.reps``) maps to the position of its class's
+# earliest-declared member.  Its class-bit table gives each event that
+# member's bit, so the quotient of a configuration is an (int, int) key, and
+# an StConfig is built only for a violation or witness handed back.
 
 
-def _quotient_config(cfg: StConfig, rep_map: Mapping[str, str]) -> StConfig:
-    return StConfig(frozenset(rep_map[e] for e in cfg.started),
-                    frozenset(rep_map[e] for e in cfg.terminated))
-
-
-def _quotient_order(ue: UniversalEvents, rep_map: Mapping[str, str]):
-    """The order between distinct quotient classes, transitively closed."""
-    return transitive_closure((rep_map[a], rep_map[b]) for a, b in ue.generators
-                              if rep_map[a] != rep_map[b])
-
-
-def _order_cycle(order) -> tuple[str, str] | None:
-    """The least pair of distinct quotient classes each below the other, if
-    any; the least, so the answer does not follow the set's hash order."""
-    return min(((a, b) for a, b in order if a != b and (b, a) in order),
-               default=None)
-
-
-# The quotient kernel.  A partition becomes a class-bit table giving each
-# universal event the bit of its class's earliest-declared member, so the
-# quotient of a configuration is an (int, int) key over those bits, and an
-# StConfig is built only for a violation or witness handed back.
-
-
-def _class_bits(ue: UniversalEvents, rep_map: Mapping[str, str]):
+def _class_bits(part: Sequence[int]):
     """The class-bit table, with the mask of the events that keep their bit."""
-    index = {r: i for i, r in enumerate(ue.reps)}
-    bits = [1 << index[rep_map[r]] for r in ue.reps]
-    return bits, sum(b for i, b in enumerate(bits) if b == 1 << i)
+    bits = [1 << c for c in part]
+    return bits, sum(1 << i for i, c in enumerate(part) if c == i)
 
 
 def _cell_keys(masks, table) -> list[tuple[int, int]]:
@@ -206,6 +188,35 @@ def _clash(keys):
     return None
 
 
+def _quotient_order(gens, part: Sequence[int]):
+    """The order between distinct classes of ``part``, transitively closed."""
+    return transitive_closure((part[a], part[b]) for a, b in gens if part[a] != part[b])
+
+
+def _linear_extension(gens, part: Sequence[int]) -> list[int] | None:
+    """The classes of ``part`` in the least linear extension of the order
+    pairs ``gens`` between distinct classes, always taking the earliest
+    ready class (Kahn's sort on a heap); None when that order has a cycle."""
+    succ: dict[int, list[int]] = {}
+    indeg = dict.fromkeys(part, 0)
+    for a, b in gens:
+        x, y = part[a], part[b]
+        if x != y:
+            succ.setdefault(x, []).append(y)
+            indeg[y] += 1
+    ready = [x for x, n in indeg.items() if not n]
+    heapq.heapify(ready)
+    out = []
+    while ready:
+        x = heapq.heappop(ready)
+        out.append(x)
+        for y in succ.get(x, ()):
+            indeg[y] -= 1
+            if not indeg[y]:
+                heapq.heappush(ready, y)
+    return out if len(out) == len(indeg) else None
+
+
 def check_proper(h: Hda, partition: EventPartition,
                  covering: Covering | None = None):
     """Decide whether ``partition`` is a proper event identification.
@@ -217,18 +228,21 @@ def check_proper(h: Hda, partition: EventPartition,
     """
     if covering is None:
         covering = path_covering(h)
-    return _check_quotient(h, covering, _part_reps(covering.ue, partition))
+    return _check_quotient(h, covering, class_indices(covering.ue.reps, partition))
 
 
-def _check_quotient(h: Hda, covering: Covering, rep_map: Mapping[str, str]):
-    """``check_proper`` for the partition a representative map stands for."""
+def _check_quotient(h: Hda, covering: Covering, part: Sequence[int]):
+    """``check_proper`` for a class-index tuple."""
     ue = covering.ue
-    cyc = _order_cycle(_quotient_order(ue, rep_map))
-    if cyc is not None:
+    if _linear_extension(covering.gens, part) is None:
+        # the least pair of classes each below the other, by name, so the
+        # answer does not follow the closure's hash order
+        order = _quotient_order(covering.gens, part)
+        a, b = min((ue.reps[x], ue.reps[y]) for x, y in order
+                   if x != y and (y, x) in order)
         return False, Violation(
-            1, f"quotient order is cyclic through {cyc[0]!r} and {cyc[1]!r}",
-            cycle=cyc)
-    table = _class_bits(ue, rep_map)
+            1, f"quotient order is cyclic through {a!r} and {b!r}", cycle=(a, b))
+    table = _class_bits(part)
     keys: dict[str, list[tuple[int, int]]] = {}
     for cell in h.all_cells():
         distinct = list(dict.fromkeys(_cell_keys(covering.masks[cell], table)))
@@ -257,32 +271,22 @@ def build_embedding(h: Hda, partition: EventPartition,
     """
     if covering is None:
         covering = path_covering(h)
-    ok, violation = check_proper(h, partition, covering)
+    part = class_indices(covering.ue.reps, partition)
+    ok, violation = _check_quotient(h, covering, part)
     if not ok:
         raise NotProperError(violation.message, violation)
-    return _embed(h, covering, _part_reps(covering.ue, partition))
+    return _embed(h, covering, part)
 
 
-def _embed(h: Hda, covering: Covering, rep_map: Mapping[str, str]) -> Sculpture:
-    """``build_embedding`` for a representative map already checked proper."""
-    ue = covering.ue
-    nodes = [r for r in ue.reps if rep_map[r] == r]   # class names, declared order
-    preds: dict[str, set[str]] = {n: set() for n in nodes}
-    for a, b in ue.generators:
-        if rep_map[a] != rep_map[b]:
-            preds[rep_map[b]].add(rep_map[a])
-    # the least linear extension: always the earliest-declared ready class
-    events: list[str] = []
-    while len(events) < len(nodes):
-        placed = set(events)
-        n = next((n for n in nodes if n not in placed and preds[n] <= placed), None)
-        if n is None:
-            raise NotProperError("quotient order is cyclic", None)
-        events.append(n)
+def _embed(h: Hda, covering: Covering, part: Sequence[int]) -> Sculpture:
+    """``build_embedding`` for a class-index tuple already checked proper."""
+    events = _linear_extension(covering.gens, part)
+    table = _class_bits(part)
     em = {}
-    for cell in h.all_cells():
-        q = _quotient_config(covering.configs[cell][0], rep_map)
-        em[cell] = config_to_chu_string(q, events)
+    for cell, masks in covering.masks.items():
+        (s, t), = _cell_keys(masks[:1], table)
+        em[cell] = "".join("1" if t >> c & 1 else "x" if s >> c & 1 else "0"
+                           for c in events)
     return Sculpture(h, len(events), em)
 
 
@@ -332,10 +336,7 @@ def restricted_growth_strings(m: int):
 
 
 def partition_from_rgs(ue: UniversalEvents, rgs: Sequence[int]) -> EventPartition:
-    blocks: dict[int, set[str]] = {}
-    for r, digit in zip(ue.reps, rgs):
-        blocks.setdefault(digit, set()).add(r)
-    return partition_of(ue, [blocks[b] for b in sorted(blocks)])
+    return classes_by_label(ue.reps, rgs)
 
 
 def brute_force_search(h: Hda, covering: Covering | None = None,
@@ -370,8 +371,8 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
     def extend(i: int):
         nonlocal nodes
         if i == m:
-            rep_map = {r: ue.reps[firsts[d]] for r, d in zip(ue.reps, rgs)}
-            return rep_map if _check_quotient(h, covering, rep_map)[0] else None
+            part = tuple(firsts[d] for d in rgs)
+            return part if _check_quotient(h, covering, part)[0] else None
         e = 1 << i
         for d in range(len(firsts) + 1):
             nodes += 1
@@ -410,7 +411,7 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
         return Verdict(False, witness=Witness(
             "exhausted", summary=f"no proper identification; {nodes} prefixes checked"),
             nodes_explored=nodes)
-    return Verdict(True, partition=partition_from_rgs(ue, rgs),
+    return Verdict(True, partition=classes_by_label(ue.reps, found),
                    sculpture=_embed(h, covering, found), nodes_explored=nodes, ue=ue)
 
 
@@ -595,25 +596,6 @@ def _children(part, taus, edges_a, edges_b):
             yield child
 
 
-def _acyclic(gens, part: Sequence[int]) -> bool:
-    """Whether the order pairs ``gens`` between the distinct classes of
-    ``part`` are acyclic: Kahn's topological sort removes every edge."""
-    succ: dict[int, list[int]] = {}
-    indeg: dict[int, int] = {}
-    for a, b in gens:
-        x, y = part[a], part[b]
-        if x != y:
-            succ.setdefault(x, []).append(y)
-            indeg[y] = indeg.get(y, 0) + 1
-    ready = [x for x in succ if x not in indeg]
-    for x in ready:   # the list grows while it is read
-        for y in succ.get(x, ()):
-            indeg[y] -= 1
-            if not indeg[y]:
-                ready.append(y)
-    return not any(indeg.values())
-
-
 def repair_search(h: Hda, covering: Covering | None = None,
                   node_budget: int = 10 ** 6) -> Verdict:
     """Merge events along homotopy pairs, depth first with backtracking.
@@ -651,10 +633,9 @@ def repair_search(h: Hda, covering: Covering | None = None,
     first_clash: Witness | None = None
     nodes = 0
     index = {r: i for i, r in enumerate(ue.reps)}
-    gens = [(index[a], index[b]) for a, b in ue.generators]
     normal: dict = {}   # normal forms and pair divergences, see _homotopy_pair
-    # a partition is the tuple giving each event its class's earliest member;
-    # the stack holds, per expanded node, the generator of its children
+    # the stack holds, per expanded node, the generator of its children; the
+    # first is the discrete partition
     stack = [iter([tuple(range(len(ue.reps)))])]
     seen: set[tuple[int, ...]] = set()
     while stack:
@@ -665,27 +646,26 @@ def repair_search(h: Hda, covering: Covering | None = None,
         nodes += 1
         if nodes > node_budget:
             raise ResourceLimitError(f"repair search exceeded {node_budget} nodes")
-        if part in seen or not _acyclic(gens, part):
+        if part in seen or _linear_extension(covering.gens, part) is None:
             continue  # reached along another merge order, or cyclic
         seen.add(part)
-        rep_map = {r: ue.reps[c] for r, c in zip(ue.reps, part)}
-        table = _class_bits(ue, rep_map)
+        table = _class_bits(part)
         if first_clash is not None and _clash(
                 (c, _cell_keys(covering.masks[c], table)) for c in h.all_cells()):
             continue
-        order = _quotient_order(ue, rep_map)
-        members: dict[str, list[str]] = {}
-        for r in ue.reps:
-            members.setdefault(rep_map[r], []).append(r)
+        order = _quotient_order(covering.gens, part)
+        members: dict[int, int] = {}   # class -> the bits of its events
+        meets: dict[int, int] = {}     # class -> the events co-occurring with it
+        for i, c in enumerate(part):
+            members[c] = members.get(c, 0) | 1 << i
+            meets[c] = meets.get(c, 0) | cooccur[i]
 
-        def compatible(x, y, order=order, members=members):
+        def compatible(x, y, order=order, members=members, meets=meets):
             # merging order-comparable classes always collapses a square's
-            # concurrent pair somewhere along the connecting chain (order and
-            # members are bound now: the matchings are read after this pass)
-            if (x, y) in order or (y, x) in order:
-                return False
-            in_y = sum(1 << index[v] for v in members[y])
-            return not any(cooccur[index[u]] & in_y for u in members[x])
+            # concurrent pair somewhere along the connecting chain (the
+            # tables are bound now: the matchings are read after this pass)
+            return ((x, y) not in order and (y, x) not in order
+                    and not meets[x] & members[y])
 
         # repair the most constrained conflict: fewest admissible pairings
         # first, shorter pairs breaking ties, so forced repairs chain before
@@ -696,19 +676,20 @@ def repair_search(h: Hda, covering: Covering | None = None,
             for cell in h.grade(0):
                 keys = _cell_keys(covering.masks[cell], table)
                 if len(set(keys)) > 1:
-                    pairs.append(_homotopy_pair(h, covering, cell, keys, normal))
-                    edges_a, edges_b, states_a, states_b = pairs[-1]
+                    edges_a, edges_b, states_a, states_b = _homotopy_pair(
+                        h, covering, cell, keys, normal)
+                    pairs.append([[index[ue.label(e)] for e in edges]
+                                  for edges in (edges_a, edges_b)])
                     yield len(edges_a), (
-                        tuple(rep_map[ue.label(e)] for e in edges_a),
-                        tuple(rep_map[ue.label(e)] for e in edges_b), compatible,
-                        [sa != sb for sa, sb in zip(states_a, states_b)])
+                        *(tuple(part[i] for i in events) for events in pairs[-1]),
+                        compatible, [sa != sb for sa, sb in zip(states_a, states_b)])
 
         chosen, count, taus, dead_conflict = _fewest_matchings(conflicts())
         if not pairs:
-            ok, violation = _check_quotient(h, covering, rep_map)
+            ok, violation = _check_quotient(h, covering, part)
             if ok:
-                return Verdict(True, partition=partition_of(ue, members.values()),
-                               sculpture=_embed(h, covering, rep_map),
+                return Verdict(True, partition=classes_by_label(ue.reps, part),
+                               sculpture=_embed(h, covering, part),
                                nodes_explored=nodes, ue=ue)
             if violation.clause == 3 and first_clash is None:
                 first_clash = Witness("label_clash", cells=violation.cells,
@@ -727,9 +708,7 @@ def repair_search(h: Hda, covering: Covering | None = None,
                 first_clash = Witness("label_clash", cells=clash[:2],
                                       config=_key_config(ue, clash[2]))
             continue
-        edges_a, edges_b = ([index[ue.label(e)] for e in edges]
-                            for edges in pairs[chosen][:2])
-        stack.append(_children(part, taus, edges_a, edges_b))
+        stack.append(_children(part, taus, *pairs[chosen]))
     if first_clash is not None:
         return Verdict(False, witness=first_clash, nodes_explored=nodes)
     return Verdict(False, witness=Witness(

@@ -322,28 +322,49 @@ def symmetric_variant(P: PrecubicalSet, order: Sequence[str],
 # Partitions of classes
 
 
+def class_indices(names: Sequence[str],
+                  parts: Iterable[Iterable[str]]) -> tuple[int, ...]:
+    """Each name's class, as the position in ``names`` of its class's
+    earliest member; names in no part are singletons.
+
+    Raises ValueError on a name not in ``names`` and on a name in two parts.
+    """
+    pos = {n: i for i, n in enumerate(names)}
+    index = list(range(len(names)))
+    covered: set[str] = set()
+    for grp in parts:
+        fs = frozenset(grp)
+        for n in fs:
+            if n not in pos:
+                raise ValueError(f"unknown name {n!r}")
+            if n in covered:
+                raise ValueError(f"{n!r} in two parts")
+        covered |= fs
+        low = min((pos[n] for n in fs), default=None)
+        for n in fs:
+            index[pos[n]] = low
+    return tuple(index)
+
+
+def classes_by_label(names: Sequence[str], labels: Sequence[int]) -> EventPartition:
+    """The classes of names sharing a label, ordered by earliest member.
+
+    ``labels`` may be a class-index tuple or a restricted growth string:
+    both give equal labels to exactly the names of one class.
+    """
+    groups: dict[int, list[str]] = {}
+    for n, label in zip(names, labels):
+        groups.setdefault(label, []).append(n)
+    return tuple(map(frozenset, groups.values()))
+
+
 def partition_of(ue: UniversalEvents, parts: Iterable[Iterable[str]]) -> EventPartition:
     """Normalize an iterable of groups of class reps into an EventPartition.
 
     Unmentioned classes become singletons; parts are ordered by their
     earliest-declared representative.
     """
-    decl = {r: i for i, r in enumerate(ue.reps)}
-    listed: list[frozenset[str]] = []
-    covered: set[str] = set()
-    for grp in parts:
-        fs = frozenset(grp)
-        for r in fs:
-            if r not in decl:
-                raise ValueError(f"unknown class representative {r!r}")
-            if r in covered:
-                raise ValueError(f"representative {r!r} in two parts")
-        covered |= fs
-        listed.append(fs)
-    for r in ue.reps:
-        if r not in covered:
-            listed.append(frozenset({r}))
-    return tuple(sorted(listed, key=lambda fs: min(decl[r] for r in fs)))
+    return classes_by_label(ue.reps, class_indices(ue.reps, parts))
 
 
 def discrete_partition(ue: UniversalEvents) -> EventPartition:

@@ -636,25 +636,63 @@ def precubical_to_json(P: PrecubicalSet) -> dict:
     }
 
 
-def _string_lists(data: Mapping, key: str) -> dict:
-    """``data[key]``, checked to be an object of lists of strings."""
-    table = data.get(key, None if key == "cells" else {})
-    if not isinstance(table, dict):
-        raise InvalidStructureError(f"HDA JSON: {key} is not an object")
-    for name, items in table.items():
-        if not isinstance(items, list):
-            raise InvalidStructureError(f'HDA JSON: {key}["{name}"] is not a list')
-        for i, item in enumerate(items):
-            if not isinstance(item, str):
-                raise InvalidStructureError(
-                    f'HDA JSON: {key}["{name}"][{i}] is not a string')
-    return table
+_JSON_NOUNS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+_FACE_TABLE = {str: [str]}   # an object of lists of strings
+
+
+def check_json_shape(kind: str, data, shape) -> None:
+    """Raise InvalidStructureError naming the first path in ``data`` that
+    does not have ``shape``.
+
+    A shape is one of the types ``dict``, ``list``, ``str`` and ``int``;
+    ``[item]``, a list of items; ``(first, second, ..)``, a list of exactly
+    those; ``{str: value}``, an object of any keys; or ``{key: value, ..}``,
+    an object whose listed keys hold those shapes (an absent key is null).
+    """
+    bad = _json_mismatch(data, shape)
+    if bad is not None:
+        path = bad[0].lstrip(".") or "the top level"
+        raise InvalidStructureError(f"{kind} JSON: {path} is not {bad[1]}")
+
+
+def _json_mismatch(data, shape):
+    """The path below ``data`` and the expected kind of the first place that
+    does not have ``shape``, or None; paths are built only on a mismatch."""
+    if isinstance(shape, type):
+        if isinstance(data, shape) and not isinstance(data, bool):
+            return None
+        return "", _JSON_NOUNS[shape]
+    if isinstance(shape, list):
+        if not isinstance(data, list):
+            return "", "a list"
+        children, fmt = enumerate(zip(data, shape * len(data))), "[{}]"
+    elif isinstance(shape, tuple):
+        if not isinstance(data, list) or len(data) != len(shape):
+            return "", f"a list of {len(shape)}"
+        children, fmt = enumerate(zip(data, shape)), "[{}]"
+    elif not isinstance(data, dict):
+        return "", "an object"
+    elif str in shape:
+        children = ((name, (x, shape[str])) for name, x in data.items())
+        fmt = '["{}"]'
+    else:
+        children = ((key, (data.get(key), value)) for key, value in shape.items())
+        fmt = ".{}"
+    for step, (x, item) in children:
+        if item is str and isinstance(x, str):
+            continue   # the common leaf, checked without a call
+        bad = _json_mismatch(x, item)
+        if bad is not None:
+            return fmt.format(step) + bad[0], bad[1]
+    return None
 
 
 def precubical_from_json(data: Mapping) -> PrecubicalSet:
-    if not isinstance(data, dict):
-        raise InvalidStructureError("HDA JSON: the top level is not an object")
-    return precubical(*(_string_lists(data, key) for key in ("cells", "s", "t")))
+    check_json_shape("HDA", data, dict)
+    tables = {"s": {}, "t": {}, **data}   # a set of points has no faces
+    check_json_shape("HDA", tables, {"cells": _FACE_TABLE, "s": _FACE_TABLE,
+                                     "t": _FACE_TABLE})
+    return precubical(tables["cells"], tables["s"], tables["t"])
 
 
 def hda_to_json(h: Hda) -> dict:
@@ -665,6 +703,5 @@ def hda_to_json(h: Hda) -> dict:
 
 def hda_from_json(data: Mapping) -> Hda:
     base = precubical_from_json(data)
-    if not isinstance(data.get("initial"), str):
-        raise InvalidStructureError("HDA JSON: initial is not a string")
+    check_json_shape("HDA", data, {"initial": str})
     return Hda(base, data["initial"])

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NonExtensionalError
+from .events import class_indices
+from .precubical import check_json_shape
 
 CHU_VALUES = "0x1"
 
@@ -154,63 +156,26 @@ def check_regular(s: StStructure) -> RegularityReport:
 # ---------------------------------------------------------------------------
 # Quotients
 
-EventEquivalence = tuple[frozenset[str], ...]
-
-
-def normalize_equivalence(s: StStructure, parts: Iterable[Iterable[str]]) -> EventEquivalence:
-    """Complete an iterable of event groups into a full partition of events."""
-    seen: set[str] = set()
-    out: list[frozenset[str]] = []
-    for grp in parts:
-        fs = frozenset(grp)
-        for e in fs:
-            if e not in s.events:
-                raise ValueError(f"unknown event {e!r}")
-            if e in seen:
-                raise ValueError(f"event {e!r} in two parts")
-        seen |= fs
-        out.append(fs)
-    for e in s.events:
-        if e not in seen:
-            out.append(frozenset({e}))
-    order = {e: i for i, e in enumerate(s.events)}
-    return tuple(sorted(out, key=lambda fs: min(order[e] for e in fs)))
-
-
-def _class_rep(parts: EventEquivalence, order: Mapping[str, int]) -> dict[str, str]:
-    rep = {}
-    for part in parts:
-        r = min(part, key=order.__getitem__)
-        for e in part:
-            rep[e] = r
-    return rep
-
-
 def quotient_st(s: StStructure, parts: Iterable[Iterable[str]]) -> StStructure:
     """Quotient events by the partition; configurations map setwise."""
-    eq = normalize_equivalence(s, parts)
-    order = {e: i for i, e in enumerate(s.events)}
-    rep = _class_rep(eq, order)
-    events = tuple(min(part, key=order.__getitem__) for part in eq)
+    index = class_indices(s.events, parts)
+    rep = {e: s.events[i] for e, i in zip(s.events, index)}
     configs = frozenset(
         StConfig(frozenset(rep[e] for e in c.started),
                  frozenset(rep[e] for e in c.terminated))
         for c in s.configs)
-    return StStructure(events, configs)
+    return StStructure(tuple(s.events[i] for i in sorted(set(index))), configs)
 
 
 def is_collapsing(s: StStructure, parts: Iterable[Iterable[str]]):
     """True iff some configuration starts two distinct equivalent events."""
-    eq = normalize_equivalence(s, parts)
-    order = {e: i for i, e in enumerate(s.events)}
-    rep = _class_rep(eq, order)
+    index = dict(zip(s.events, class_indices(s.events, parts)))
     for c in sorted(s.configs, key=StConfig.sort_key):
-        by_class: dict[str, str] = {}
+        by_class: dict[int, str] = {}
         for e in sorted(c.started):
-            r = rep[e]
-            if r in by_class:
-                return True, (c, by_class[r], e)
-            by_class[r] = e
+            if index[e] in by_class:
+                return True, (c, by_class[index[e]], e)
+            by_class[index[e]] = e
     return False, None
 
 
@@ -317,7 +282,8 @@ def st_to_json(s: StStructure) -> dict:
 
 
 def st_from_json(data: Mapping) -> StStructure:
-    return st(data["events"], [(c[0], c[1]) for c in data["configs"]])
+    check_json_shape("ST", data, {"events": [str], "configs": [([str], [str])]})
+    return st(data["events"], data["configs"])
 
 
 def chu_to_json(c: ChuSpace3) -> dict:
@@ -325,6 +291,7 @@ def chu_to_json(c: ChuSpace3) -> dict:
 
 
 def chu_from_json(data: Mapping) -> ChuSpace3:
+    check_json_shape("Chu", data, {"events": [str], "states": [str]})
     states = data["states"]
     if len(set(states)) != len(states):
         raise NonExtensionalError("duplicate states in Chu space")

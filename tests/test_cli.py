@@ -201,3 +201,25 @@ def test_convert_chu_to_text(tmp_path, capsys):
                         str(chu_path))
     assert code == 0
     assert out.splitlines()[1].startswith("a ")
+
+
+@pytest.mark.parametrize("source, target", [
+    ("st", "chu"), ("chu", "st"), ("sculpture", "st"), ("st", "sculpture"),
+    ("chu", "text")])
+@pytest.mark.parametrize("kind", ["top_level_list", "wrong_field"])
+def test_convert_malformed_json_exits_2(tmp_path, capsys, source, target, kind):
+    wrong_field = {
+        "st": ('{"events": 3, "configs": []}', "events"),
+        "chu": ('{"events": ["a"], "states": ["0", 1]}', "states[1]"),
+        "sculpture": ('{"hda": {"cells": {"0": ["v"]}, "initial": "v"},'
+                      ' "d": 0, "em": {"v": []}}', 'em["v"]'),
+    }[source]
+    text, where = ("[]", "top level") if kind == "top_level_list" else wrong_field
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out = run_cli(capsys, "convert", "--from", source, "--to", target,
+                        str(path))
+    assert code == 2
+    error = json.loads(out)
+    assert error["error"] == "InvalidStructureError"
+    assert where in error["message"]

@@ -382,8 +382,9 @@ def clash_cases():
 
 
 def _clash_under(cov, partition):
-    from hdasculpt.decision import _cell_keys, _clash, _class_bits, _part_reps
-    table = _class_bits(cov.ue, _part_reps(cov.ue, partition))
+    from hdasculpt.decision import _cell_keys, _clash, _class_bits
+    from hdasculpt.events import class_indices
+    table = _class_bits(class_indices(cov.ue.reps, partition))
     return _clash((c, _cell_keys(ms, table)) for c, ms in cov.masks.items())
 
 
@@ -549,7 +550,8 @@ def test_quotient_of_each_stored_config_reads_off_the_embedding():
     # per cell and per stored configuration: quotienting by the partition a
     # sculpture induces gives exactly the cell's coordinates
     from hdasculpt import event_equiv_sculpt
-    from hdasculpt.decision import _part_reps, _quotient_config
+    from hdasculpt.decision import _cell_keys, _class_bits, _key_config
+    from hdasculpt.events import class_indices
     from hdasculpt.st_chu import chu_string_to_config
 
     sculptures = [corpus.matchbox_sculpture(),
@@ -558,15 +560,49 @@ def test_quotient_of_each_stored_config_reads_off_the_embedding():
                   decide_sculptable(corpus.backtracker()).sculpture]
     for sc in sculptures:
         cov = path_covering(sc.hda)
-        part = event_equiv_sculpt(sc, cov.ue)
-        rep_map = _part_reps(cov.ue, part)
+        part = class_indices(cov.ue.reps, event_equiv_sculpt(sc, cov.ue))
         coord_events = {}
-        for p in part:
-            rep = min(p, key=lambda r: cov.ue.reps.index(r))
-            edge = cov.ue.members(next(iter(p)))[0]
-            coord_events[sc.em[edge].index("x")] = rep_map[rep]
+        for r, c in zip(cov.ue.reps, part):
+            edge = cov.ue.members(r)[0]
+            coord_events[sc.em[edge].index("x")] = cov.ue.reps[c]
         ordered = tuple(coord_events[i] for i in sorted(coord_events))
+        table = _class_bits(part)
         for cell, cfgs in cov.configs.items():
             want = chu_string_to_config(sc.em[cell], ordered)
-            for cfg in cfgs:
-                assert _quotient_config(cfg, rep_map) == want, (cell, cfg)
+            keys = _cell_keys(cov.masks[cell], table)
+            for cfg, key in zip(cfgs, keys):
+                assert _key_config(cov.ue, key) == want, (cell, cfg)
+
+
+# cell:coordinates of each returned sculpture, in the least linear extension
+PINNED_EMBEDDINGS = {
+    "backtracker": (4, """
+        1:0101 10:1000 11:0010 12:1010 2:1101 3:1111 4:0111 5:0001 6:1001
+        7:1011 8:0011 9:0000 a1:11x1 a2:01x1 a3:10x1 a4:00x0 a5:10x0 b1:0x01
+        b2:1x01 b3:1x11 b4:001x c1:0x11 c2:000x c3:100x c4:101x d1:x101
+        d2:x001 d3:x000 d4:x010"""),
+    "two_mutex": (8, """
+        0,0:00000000 0,0s:0x000000 0,1:01000000 0,1s:01x00000 0,2:01100000
+        0,2s:011x0000 0,3:01110000 0,3s:01110x00 0,4:01110100 0s,0:x0000000
+        0s,0s:xx000000 0s,1:x1000000 0s,3:0111x000 0s,3s:0111xx00
+        0s,4:0111x100 1,0:10000000 1,0s:1x000000 1,1:11000000 1,3:01111000
+        1,3s:01111x00 1,4:01111100 1s,0:10x00000 1s,4:011111x0 2,0:10100000
+        2,4:01111110 2s,0:1x100000 2s,4:0111111x 3,0:11100000 3,0s:1110x000
+        3,1:11101000 3,4:01111111 3s,0:111x0000 3s,0s:111xx000
+        3s,1:111x1000 3s,4:x1111111 4,0:11110000 4,0s:1111x000 4,1:11111000
+        4,1s:11111x00 4,2:11111100 4,2s:111111x0 4,3:11111110
+        4,3s:1111111x 4,4:11111111"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EMBEDDINGS))
+def test_returned_embedding_is_pinned(name):
+    # several classes are ready at once in both, so any change to the order
+    # of the coordinates shows
+    from hdasculpt import parse_pv, pv_to_complex
+    h = corpus.backtracker() if name == "backtracker" else pv_to_complex(
+        parse_pv("P(a) P(b) V(b) V(a)\nP(b) P(a) V(a) V(b)\n")).hda
+    d, text = PINNED_EMBEDDINGS[name]
+    sc = decide_sculptable(h).sculpture
+    assert sc.d == d
+    assert sc.em == dict(item.split(":") for item in text.split())

@@ -175,20 +175,24 @@ def test_branching_pv_programs_keep_their_partition(name):
 
 
 def test_repair_search_builds_each_child_only_when_it_pulls_it(monkeypatch):
+    import sys
     import hdasculpt.decision as decision
-    acyclic, class_bits = decision._acyclic, decision._class_bits
     events = []   # each cycle check's answer, and "expand" per expanded node
 
-    def counted_acyclic(gens, part):
-        events.append(acyclic(gens, part))
-        return events[-1]
+    def counted(kernel, mark):
+        # only the search's own calls: the proper check at a leaf and the
+        # embedding call the same kernel
+        def wrapped(*args):
+            out = kernel(*args)
+            if sys._getframe(1).f_code.co_name == "repair_search":
+                events.append(mark(out))
+            return out
+        return wrapped
 
-    def counted_class_bits(ue, rep_map):
-        events.append("expand")
-        return class_bits(ue, rep_map)
-
-    monkeypatch.setattr(decision, "_acyclic", counted_acyclic)
-    monkeypatch.setattr(decision, "_class_bits", counted_class_bits)
+    monkeypatch.setattr(decision, "_linear_extension", counted(
+        decision._linear_extension, lambda order: order is not None))
+    monkeypatch.setattr(decision, "_class_bits", counted(
+        decision._class_bits, lambda table: "expand"))
     v = decision.repair_search(pv_to_complex(parse_pv(TWO_MUTEX)).hda)
     assert v.sculptable
     assert sum(e != "expand" for e in events) <= v.nodes_explored

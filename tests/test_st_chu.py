@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -192,3 +193,19 @@ def test_ordered_morphism_law():
     q = quotient_st(cov.structure, [["q1", "q3"], ["q2", "q4"]])
     mapping = {"q1": "q1", "q3": "q1", "q2": "q2", "q4": "q2"}
     assert validate_st_morphism(cov.structure, q, mapping, ordered=False) == []
+
+
+@pytest.mark.parametrize("parts", [[["a", "z"]], [["a", "b"], ["b"]]],
+                         ids=["unknown_name", "name_in_two_parts"])
+def test_partitions_reject_unknown_and_repeated_names(parts):
+    from hdasculpt import partition_of, universal_events
+    s = st(["a", "b"], [((), ())])
+    with pytest.raises(ValueError):
+        quotient_st(s, parts)
+    with pytest.raises(ValueError):
+        is_collapsing(s, parts)
+    ue = universal_events(corpus.empty_square().base)
+    a, b = ue.reps[:2]
+    renamed = [[{"a": a, "b": b}.get(n, n) for n in p] for p in parts]
+    with pytest.raises(ValueError):
+        partition_of(ue, renamed)
