@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import NotRegularError, ResourceLimitError
+from .errors import InvalidStructureError, NotRegularError, ResourceLimitError
 from .events import EventPartition, UniversalEvents, universal_events
 from .precubical import (Hda, PrecubicalSet, Problem, ValidationReport,
                          check_json_shape, hda_from_json, validate_hda)
@@ -76,7 +76,11 @@ class Sculpture:
         return self.em[cell]
 
 def validate_sculpture(s: Sculpture) -> ValidationReport:
-    problems = list(validate_hda(s.hda).problems)
+    """Problems with the embedding; only the HDA's when the HDA itself fails."""
+    report = validate_hda(s.hda)
+    if not report.ok:
+        return report
+    problems = []
     seen: dict[str, str] = {}
     for c in s.hda.all_cells():
         img = s.em.get(c)
@@ -213,4 +217,8 @@ def sculpture_to_json(s: Sculpture) -> dict:
 
 def sculpture_from_json(data: Mapping) -> Sculpture:
     check_json_shape("sculpture", data, {"hda": dict, "d": int, "em": {str: str}})
-    return Sculpture(hda_from_json(data["hda"]), data["d"], dict(data["em"]))
+    sc = Sculpture(hda_from_json(data["hda"]), data["d"], dict(data["em"]))
+    report = validate_sculpture(sc)
+    if not report.ok:
+        raise InvalidStructureError(f"invalid sculpture: {report}", report)
+    return sc

@@ -209,7 +209,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (HdaError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (HdaError, ValueError, OSError, json.JSONDecodeError, KeyError,
+            RecursionError) as exc:   # a RecursionError: input too deep to check
         return _error(exc)
 
 

@@ -16,6 +16,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .bulk import Sculpture, validate_sculpture
@@ -23,8 +24,8 @@ from .errors import (CyclicError, InvalidStructureError, NotConnectedError,
                      NotProperError, RepeatingEventsError, ResourceLimitError)
 from .events import (EventPartition, UniversalEvents, class_indices,
                      classes_by_label, has_non_repeating_events, is_ordered,
-                     multilabel, partition_of, partition_to_json,
-                     transitive_closure, universal_events)
+                     multilabel, partition_to_json, transitive_closure,
+                     universal_events)
 from .precubical import (Hda, Path, Step, coface_index, is_acyclic,
                          is_connected, normalize_path, validate_hda)
 from .st_chu import StConfig, StStructure
@@ -32,23 +33,39 @@ from .st_chu import StConfig, StStructure
 
 @dataclass(frozen=True)
 class Covering:
-    """Per-cell path configurations plus one witness path per configuration."""
+    """Per-cell path configurations plus one witness path per configuration.
+
+    A configuration is held as its (started, terminated) bitmasks over
+    ``ue.reps``; ``configs`` and ``structure`` read them as ``StConfig``s.
+    """
 
     ue: UniversalEvents
-    configs: Mapping[str, tuple[StConfig, ...]]
-    structure: StStructure
-    labels: Mapping[str, tuple[str, ...]]  # cell -> multilabel (class reps)
-    # cell -> per configuration, (started, terminated) as bitmasks over ue.reps
-    masks: Mapping[str, tuple[tuple[int, int], ...]]
+    masks: Mapping[str, tuple[tuple[int, int], ...]]   # cell -> configurations
     gens: tuple[tuple[int, int], ...]   # ue.generators, as positions in ue.reps
+    # (cell, started, terminated) -> (the previous key, direction, index), or None
     _parents: Mapping = field(repr=False)
 
+    @cached_property
+    def configs(self) -> Mapping[str, tuple[StConfig, ...]]:
+        return {c: tuple(_key_config(self.ue, k) for k in ms)
+                for c, ms in self.masks.items()}
+
+    @cached_property
+    def structure(self) -> StStructure:
+        return StStructure(self.ue.reps,
+                           frozenset(c for cs in self.configs.values() for c in cs))
+
     def witness(self, cell: str, cfg: StConfig) -> Path:
+        bit = {r: 1 << i for i, r in enumerate(self.ue.reps)}
+        return self._route(cell, (sum(map(bit.__getitem__, cfg.started)),
+                                  sum(map(bit.__getitem__, cfg.terminated))))
+
+    def _route(self, cell: str, mask: tuple[int, int]) -> Path:
         steps = []
-        key = (cell, cfg)
-        while self._parents[key] is not None:
-            prev, step = self._parents[key]
-            steps.append(step)
+        key = (cell, *mask)
+        while (parent := self._parents[key]) is not None:
+            prev, direction, k = parent
+            steps.append(Step(direction, k, key[0]))
             key = prev
         steps.reverse()
         return Path(key[0], tuple(steps))
@@ -77,48 +94,39 @@ def path_covering(h: Hda, ue: UniversalEvents | None = None) -> Covering:
 
 
 def _covering(h: Hda, ue: UniversalEvents) -> Covering:
-    """``path_covering`` for an automaton whose preconditions already hold."""
-    labels = {c: multilabel(h.base, c, ue) for c in h.all_cells()}
+    """``path_covering`` for an automaton whose preconditions already hold.
+
+    Each move from a (cell, started, terminated) key is tried in a fixed
+    order: s-steps by coface, then t-steps for k = 1..dim.
+    """
+    index = {r: i for i, r in enumerate(ue.reps)}
+    bits = {c: tuple(1 << index[lab] for lab in multilabel(h.base, c, ue))
+            for c in h.all_cells()}
     cofaces = coface_index(h.base)
-    empty = StConfig(frozenset(), frozenset())
-    start_key = (h.initial, empty)
-    parents: dict = {start_key: None}
-    configs: dict[str, list[StConfig]] = {c: [] for c in h.all_cells()}
-    configs[h.initial].append(empty)
-    queue = deque([start_key])
+    start = (h.initial, 0, 0)
+    parents: dict = {start: None}
+    masks: dict[str, list[tuple[int, int]]] = {c: [] for c in h.all_cells()}
+    masks[h.initial].append((0, 0))
+    queue = deque([start])
     while queue:
         key = queue.popleft()
-        cell, cfg = key
+        cell, s, t = key
         moves = []
         for k, up in cofaces[cell]:
-            lab = labels[up][k - 1]
-            if lab in cfg.started:
+            b = bits[up][k - 1]
+            if s & b:
                 raise RepeatingEventsError(
-                    f"event {lab!r} restarted entering {up!r}", None)
-            moves.append((Step("s", k, up),
-                          StConfig(cfg.started | {lab}, cfg.terminated)))
-        for k in range(1, h.dim(cell) + 1):
-            lab = labels[cell][k - 1]
-            moves.append((Step("t", k, h.t(cell, k)),
-                          StConfig(cfg.started, cfg.terminated | {lab})))
-        for step, new_cfg in moves:
-            new_key = (step.target, new_cfg)
+                    f"event {ue.reps[b.bit_length() - 1]!r} restarted entering {up!r}",
+                    None)
+            moves.append((up, s | b, t, "s", k))
+        moves += [(h.t(cell, k), s, t | b, "t", k) for k, b in enumerate(bits[cell], 1)]
+        for target, s2, t2, direction, k in moves:
+            new_key = (target, s2, t2)
             if new_key not in parents:
-                parents[new_key] = (key, step)
-                configs[step.target].append(new_cfg)
+                parents[new_key] = (key, direction, k)
+                masks[target].append((s2, t2))
                 queue.append(new_key)
-    structure = StStructure(
-        ue.reps, frozenset(c for cs in configs.values() for c in cs))
-    index = {r: i for i, r in enumerate(ue.reps)}
-    bit = {r: 1 << i for r, i in index.items()}
-    return Covering(ue=ue,
-                    configs={c: tuple(cs) for c, cs in configs.items()},
-                    structure=structure,
-                    labels=labels,
-                    masks={c: tuple((sum(map(bit.__getitem__, k.started)),
-                                     sum(map(bit.__getitem__, k.terminated)))
-                                    for k in cs)
-                           for c, cs in configs.items()},
+    return Covering(ue=ue, masks={c: tuple(ms) for c, ms in masks.items()},
                     gens=tuple((index[a], index[b]) for a, b in ue.generators),
                     _parents=parents)
 
@@ -335,10 +343,6 @@ def restricted_growth_strings(m: int):
     return iter(out)
 
 
-def partition_from_rgs(ue: UniversalEvents, rgs: Sequence[int]) -> EventPartition:
-    return classes_by_label(ue.reps, rgs)
-
-
 def brute_force_search(h: Hda, covering: Covering | None = None,
                        max_events: int = 10) -> Verdict:
     """Depth-first branch and bound over the partitions of the universal labels.
@@ -421,14 +425,10 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
 
 def _length_mismatch(h: Hda, covering: Covering):
     for cell in h.grade(0):
-        sizes = {}
-        for cfg in covering.configs[cell]:
-            n = len(cfg.started)
-            if sizes and n not in sizes:
-                other = next(iter(sizes))
-                return Witness("length_mismatch", cell=cell,
-                               lengths=tuple(sorted((other, n))))
-            sizes[n] = cfg
+        sizes = list(dict.fromkeys(s.bit_count() for s, _ in covering.masks[cell]))
+        if len(sizes) > 1:   # the first size and the first other one
+            return Witness("length_mismatch", cell=cell,
+                           lengths=tuple(sorted(sizes[:2])))
     return None
 
 
@@ -441,20 +441,20 @@ def _homotopy_pair(h: Hda, covering: Covering, cell: str,
     pair spans exactly the divergence, and returns the shortest suffix pair
     (ties broken lexicographically on labels) together with the states the
     two routes pass through.  ``normal`` caches the normal forms by (cell,
-    configuration) and each pair's divergence by (cell, configuration,
-    configuration), since neither depends on the partition.
+    mask) and each pair's divergence by (cell, mask, mask), since neither
+    depends on the partition.
     """
-    by_quotient: dict[tuple[int, int], StConfig] = {}
-    for cfg, key in zip(covering.configs[cell], keys):
-        by_quotient.setdefault(key, cfg)
-    for cfg in by_quotient.values():
-        if (cell, cfg) not in normal:
-            normal[cell, cfg] = normalize_path(h, covering.witness(cell, cfg))
+    by_quotient: dict[tuple[int, int], tuple[int, int]] = {}
+    for mask, key in zip(covering.masks[cell], keys):
+        by_quotient.setdefault(key, mask)
+    for mask in by_quotient.values():
+        if (cell, mask) not in normal:
+            normal[cell, mask] = normalize_path(h, covering._route(cell, mask))
     best = None
-    for ca, cb in itertools.combinations(by_quotient.values(), 2):
-        pair = normal.get((cell, ca, cb))
+    for ma, mb in itertools.combinations(by_quotient.values(), 2):
+        pair = normal.get((cell, ma, mb))
         if pair is None:
-            pa, pb = normal[cell, ca], normal[cell, cb]
+            pa, pb = normal[cell, ma], normal[cell, mb]
             common = 0
             while (common < len(pa.steps) and common < len(pb.steps)
                    and pa.steps[common] == pb.steps[common]):
@@ -484,7 +484,7 @@ def _homotopy_pair(h: Hda, covering: Covering, cell: str,
                 key = alt
                 edges_a, edges_b = edges_b, edges_a
                 states_a, states_b = states_b, states_a
-            pair = normal[cell, ca, cb] = (key, edges_a, edges_b, states_a, states_b)
+            pair = normal[cell, ma, mb] = (key, edges_a, edges_b, states_a, states_b)
         if best is None or pair[0] < best[0]:
             best = pair
     return best[1:]

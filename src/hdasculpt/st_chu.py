@@ -52,6 +52,8 @@ class StStructure:
 
     def __post_init__(self):
         evs = set(self.events)
+        if len(evs) != len(self.events):
+            raise ValueError("repeated event names")
         for c in self.configs:
             if not c.started <= evs:
                 raise ValueError(f"config {c} uses unknown events")
@@ -85,6 +87,8 @@ class ChuSpace3:
     states: frozenset[str]
 
     def __post_init__(self):
+        if len(set(self.events)) != len(self.events):
+            raise ValueError("repeated event names")
         for x in self.states:
             if len(x) != len(self.events) or any(ch not in CHU_VALUES for ch in x):
                 raise ValueError(f"bad state {x!r}")

@@ -223,3 +223,52 @@ def test_convert_malformed_json_exits_2(tmp_path, capsys, source, target, kind):
     error = json.loads(out)
     assert error["error"] == "InvalidStructureError"
     assert where in error["message"]
+
+
+SCULPTURE_HDA = {"cells": {"0": ["v", "w"], "1": ["e"]},
+                 "s": {"e": ["v"]}, "t": {"e": ["w"]}, "initial": "v"}
+
+
+@pytest.mark.parametrize("change", [
+    {"em": {"v": "0", "e": "xx", "w": "1"}},
+    {"em": {"v": "0", "e": "q", "w": "1"}},
+    {"d": -1},
+    {"hda": {**SCULPTURE_HDA, "s": {"e": ["u"]}}},
+    {"hda": {**SCULPTURE_HDA, "s": {"e": []}}},
+], ids=["image_too_long", "bad_character", "negative_d", "unknown_face",
+        "empty_face_list"])
+def test_convert_invalid_sculpture_exits_2(tmp_path, capsys, change):
+    sculpture = {"hda": SCULPTURE_HDA, "d": 1, "em": {"v": "0", "e": "x", "w": "1"}}
+    path = tmp_path / "sculpture.json"
+    path.write_text(json.dumps(sculpture))
+    assert run_cli(capsys, "convert", "--from", "sculpture", "--to", "st",
+                   str(path))[0] == 0
+    path.write_text(json.dumps({**sculpture, **change}))
+    code, out = run_cli(capsys, "convert", "--from", "sculpture", "--to", "st",
+                        str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "InvalidStructureError"
+
+
+@pytest.mark.parametrize("source, target, text", [
+    ("st", "chu", '{"events": ["a", "a"], "configs": [[[], []]]}'),
+    ("chu", "text", '{"events": ["a", "a"], "states": ["00"]}'),
+    ("chu", "st", '{"events": ["a", "a"], "states": ["00"]}'),
+], ids=["st-chu", "chu-text", "chu-st"])
+def test_convert_repeated_event_names_exits_2(tmp_path, capsys, source, target, text):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    code, out = run_cli(capsys, "convert", "--from", source, "--to", target, str(path))
+    assert code == 2
+    assert json.loads(out) == {"error": "ValueError", "message": "repeated event names"}
+
+
+def test_check_too_deep_input_exits_2(tmp_path, capsys):
+    # a 1,500-edge chain nests the non-repeating check deeper than Python's
+    # default recursion limit; that is an error, not a negative verdict
+    from hdasculpt import make_grid
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(hda_to_json(make_grid(1500))))
+    code, out = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "RecursionError"

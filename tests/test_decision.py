@@ -1,5 +1,6 @@
 """The covering, proper identifications, both searches, and the pipeline."""
 
+import collections
 import itertools
 
 import pytest
@@ -13,8 +14,9 @@ from hdasculpt import (CyclicError, NotConnectedError, RepeatingEventsError,
                        is_connected, make_bulk, multilabel, partition_of,
                        path_covering, repair_search, rooted_paths,
                        universal_events, validate_path, validate_sculpture)
-from hdasculpt.decision import partition_from_rgs, restricted_growth_strings
+from hdasculpt.decision import restricted_growth_strings
 from hdasculpt.errors import HdaError, NotProperError
+from hdasculpt.events import classes_by_label
 from hdasculpt.precubical import elementary_homotopies
 
 
@@ -137,6 +139,83 @@ def test_active_events_and_new_event_laws():
                     cur = s.target
 
 
+def _reference_covering(h):
+    """The covering as ``path_covering`` documents it, on StConfigs: a
+    breadth-first fixpoint over (cell, configuration) pairs in which an
+    s_k-step into q starts the k-th running event of q and a t_k-step out
+    of q terminates it, taking the s-steps by coface in declaration order,
+    then the t-steps for k = 1..dim."""
+    ue = universal_events(h.base)
+    labels = {c: multilabel(h.base, c, ue) for c in h.all_cells()}
+    cofaces = {c: [] for c in h.all_cells()}
+    for q in h.all_cells():
+        for k in range(1, h.dim(q) + 1):
+            cofaces[h.s(q, k)].append((k, q))
+    start = (h.initial, StConfig(frozenset(), frozenset()))
+    configs = {c: [] for c in h.all_cells()}
+    configs[h.initial].append(start[1])
+    seen, queue = {start}, collections.deque([start])
+    while queue:
+        cell, cfg = queue.popleft()
+        moves = [(up, StConfig(cfg.started | {labels[up][k - 1]}, cfg.terminated))
+                 for k, up in cofaces[cell]]
+        moves += [(h.t(cell, k),
+                   StConfig(cfg.started, cfg.terminated | {labels[cell][k - 1]}))
+                  for k in range(1, h.dim(cell) + 1)]
+        for key in moves:
+            if key not in seen:
+                seen.add(key)
+                configs[key[0]].append(key[1])
+                queue.append(key)
+    return {c: tuple(cs) for c, cs in configs.items()}
+
+
+def test_covering_equals_a_plain_stconfig_reference():
+    from hdasculpt import parse_pv, pv_to_complex
+    from hdasculpt.randgen import random_hda_batch
+    programs = ["P(a) P(b) V(b) V(a)\nP(b) P(a) V(a) V(b)\n",
+                "P(a) P(b) V(a) V(b)\nP(b) P(c) V(b) V(c)\nP(c) P(a) V(c) V(a)\n",
+                "P(a) V(a)\n" * 4]
+    automata = [f.build() for f in corpus.fixtures()]
+    automata += random_hda_batch(7, 60, max_events=10)
+    automata += [pv_to_complex(parse_pv(text)).hda for text in programs]
+    checked = 0
+    for h in automata:
+        try:
+            cov = path_covering(h)
+        except HdaError:
+            continue
+        want = _reference_covering(h)
+        assert cov.configs == want
+        assert cov.structure.configs == frozenset(c for cs in want.values() for c in cs)
+        checked += 1
+    assert checked > 60
+
+
+@pytest.mark.parametrize("name, built", [
+    ("grid6x6x6", 0), ("two_mutex", 1), ("broken_box", 1)])
+def test_decide_builds_stconfigs_only_for_witnesses(monkeypatch, name, built):
+    # the covering and both searches run on bitmasks; an StConfig is built
+    # only for a violation or witness that is returned or kept
+    from hdasculpt import make_grid, parse_pv, pv_to_complex
+    h = {"grid6x6x6": lambda: make_grid(6, 6, 6),
+         "two_mutex": lambda: pv_to_complex(
+             parse_pv("P(a) P(b) V(b) V(a)\nP(b) P(a) V(a) V(b)\n")).hda,
+         "broken_box": corpus.broken_box}[name]()
+    made = []
+    post_init = StConfig.__post_init__
+
+    def counting(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(StConfig, "__post_init__", counting)
+    v = decide_sculptable(h)
+    assert len(made) == built
+    if name == "broken_box":
+        assert v.witness.config is made[0]
+
+
 # ---------------------------------------------------------------------------
 # Proper identifications
 
@@ -184,8 +263,7 @@ def test_antisymmetry_violation_does_not_follow_the_hash_seed():
     import sys
 
     import hdasculpt
-    code = ("from hdasculpt import corpus, path_covering, check_proper\n"
-            "from hdasculpt.decision import partition_of\n"
+    code = ("from hdasculpt import corpus, path_covering, check_proper, partition_of\n"
             "h = corpus.matchbox(); cov = path_covering(h); a, b, c = cov.ue.reps\n"
             "print(check_proper(h, partition_of(cov.ue, [[a, c]]), cov)[1].cycle)")
     src = os.path.dirname(os.path.dirname(hdasculpt.__file__))
@@ -352,7 +430,7 @@ def _covered(batch):
 
 def _first_proper_by_enumeration(h, cov):
     for rgs in restricted_growth_strings(len(cov.ue.reps)):
-        partition = partition_from_rgs(cov.ue, rgs)
+        partition = classes_by_label(cov.ue.reps, rgs)
         if check_proper(h, partition, cov)[0]:
             return partition
     return None
@@ -425,7 +503,7 @@ def test_branch_and_bound_prunes_the_batch_oracle_fallback():
 
 def test_partition_from_rgs():
     ue = universal_events(corpus.empty_square().base)
-    part = partition_from_rgs(ue, (0, 1, 0, 1))
+    part = classes_by_label(ue.reps, (0, 1, 0, 1))
     assert sorted(sorted(p) for p in part) == [["q1", "q3"], ["q2", "q4"]]
 
 
