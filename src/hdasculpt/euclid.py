@@ -3,20 +3,24 @@
 Complexes are finite unions of elementary integer cubes, kept purely
 combinatorial.  A cube is a pair of integer corner vectors whose per-axis
 extents are 0 or 1; cube cells are named by per-axis tokens, "3" for the
-point 3 and "3s" for the span from 3 to 4, joined with commas.
+point 3 and "3s" for the span from 3 to 4, joined with commas.  Grids and
+complexes are built straight from (lower, upper) coordinate tuples.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bulk import Sculpture
 from .errors import InvalidStructureError, ResourceLimitError
 from .precubical import Hda, PrecubicalSet
 
 DEFAULT_GRID_LIMIT = 200_000
+Box = tuple[tuple[int, ...], tuple[int, ...]]   # (lower, upper) corners of a cube
 
 
 @dataclass(frozen=True)
@@ -41,22 +45,16 @@ class Cube:
         return len(self.directions)
 
     def face(self, alpha: str, k: int) -> "Cube":
-        axis = self.directions[k - 1]
+        i, lower, upper = self.directions[k - 1], self.lower, self.upper
         if alpha == "s":
-            upper = list(self.upper)
-            upper[axis] = self.lower[axis]
-            return Cube(self.lower, tuple(upper))
-        lower = list(self.lower)
-        lower[axis] = self.upper[axis]
-        return Cube(tuple(lower), self.upper)
+            return Cube(lower, upper[:i] + lower[i:i + 1] + upper[i + 1:])
+        return Cube(lower[:i] + upper[i:i + 1] + lower[i + 1:], upper)
 
     def cell_id(self) -> str:
-        return ",".join(
-            str(a) if a == b else f"{a}s"
-            for a, b in zip(self.lower, self.upper)) or "pt"
+        return ",".join(map(_token, self.lower, self.upper)) or "pt"
 
     def sort_key(self):
-        return (self.dim, self.lower, self.upper)
+        return _box_key((self.lower, self.upper))
 
 
 def cube(lower: Sequence[int], upper: Sequence[int]) -> Cube:
@@ -75,21 +73,31 @@ class EuclideanComplex:
         return tuple(c for c in self.sorted_cubes() if c.dim == n)
 
 
+def _box_key(box: Box):
+    """(dim, lower, upper): the order cells are declared in."""
+    return (sum(box[1]) - sum(box[0]), *box)
+
+
+def _token(a: int, b: int) -> str:
+    return str(a) if a == b else f"{a}s"
+
+
 def face_closure(cubes: Iterable[Cube]) -> tuple[set[Cube], set[Cube]]:
     """Close a cube set under faces; returns (closed set, cubes added)."""
     closed = set(cubes)
-    added: set[Cube] = set()
-    stack = list(closed)
+    boxes = {(c.lower, c.upper) for c in closed}
+    added: set[Box] = set()
+    stack = list(boxes)
     while stack:
-        c = stack.pop()
-        for k in range(1, c.dim + 1):
-            for alpha in "st":
-                f = c.face(alpha, k)
-                if f not in closed:
-                    closed.add(f)
-                    added.add(f)
-                    stack.append(f)
-    return closed, added
+        lower, upper = stack.pop()
+        new = {f for i, (a, b) in enumerate(zip(lower, upper)) if a != b
+               for f in ((lower, upper[:i] + (a,) + upper[i + 1:]),
+                         (lower[:i] + (b,) + lower[i + 1:], upper))} - boxes
+        boxes |= new
+        added |= new
+        stack += new
+    added_cubes = {Cube(*f) for f in added}
+    return closed | added_cubes, added_cubes
 
 
 def euclidean_complex(cubes: Iterable, auto_close: bool = True) -> tuple["EuclideanComplex", tuple[Cube, ...]]:
@@ -108,16 +116,27 @@ def euclidean_complex(cubes: Iterable, auto_close: bool = True) -> tuple["Euclid
     return EuclideanComplex(ambients.pop(), frozenset(closed)), tuple(sorted(added, key=Cube.sort_key))
 
 
-def _precubical_from_cubes(cubes: Iterable[Cube]) -> PrecubicalSet:
-    ordered = sorted(cubes, key=Cube.sort_key)
+def _precubical(ordered: Sequence[Box]) -> PrecubicalSet:
+    """The precubical set on face-closed boxes sorted by ``_box_key``: each
+    cell's tokens are written once, and its k-th s (t) face is named by
+    putting the lower (upper) end in place of its k-th span token."""
     cells: dict[int, list[str]] = {}
     s_faces: dict[str, tuple[str, ...]] = {}
     t_faces: dict[str, tuple[str, ...]] = {}
-    for c in ordered:
-        cells.setdefault(c.dim, []).append(c.cell_id())
-        if c.dim >= 1:
-            s_faces[c.cell_id()] = tuple(c.face("s", k).cell_id() for k in range(1, c.dim + 1))
-            t_faces[c.cell_id()] = tuple(c.face("t", k).cell_id() for k in range(1, c.dim + 1))
+    for lower, upper in ordered:
+        toks = list(map(_token, lower, upper))
+        cid = ",".join(toks) or "pt"
+        spans = [i for i, (a, b) in enumerate(zip(lower, upper)) if a != b]
+        cells.setdefault(len(spans), []).append(cid)
+        if spans:
+            s, t = [], []
+            for i in spans:
+                tok, toks[i] = toks[i], toks[i][:-1]
+                s.append(",".join(toks))
+                toks[i] = str(upper[i])
+                t.append(",".join(toks))
+                toks[i] = tok
+            s_faces[cid], t_faces[cid] = tuple(s), tuple(t)
     return PrecubicalSet({n: tuple(cs) for n, cs in sorted(cells.items())},
                          s_faces, t_faces)
 
@@ -132,60 +151,50 @@ class Grid:
     hda: Hda
 
 
+def _check_grid_limit(sizes: tuple[int, ...], max_cells: int = DEFAULT_GRID_LIMIT) -> None:
+    total = math.prod(2 * m + 1 for m in sizes)
+    if total > max_cells:
+        raise ResourceLimitError(f"grid {sizes} has {total} cells, over {max_cells}")
+
+
+def _grid_boxes(sizes: Sequence[int]) -> Iterator[Box]:
+    """Every cell of the grid with these sizes, as a box."""
+    axes = [[(j, j) for j in range(m + 1)] + [(j, j + 1) for j in range(m)]
+            for m in sizes]
+    return (tuple(zip(*p)) or ((), ()) for p in itertools.product(*axes))
+
+
 def grid(*sizes: int, max_cells: int = DEFAULT_GRID_LIMIT) -> Grid:
     """The full box with the given number of top cubes along each axis."""
     if any(m < 1 for m in sizes):
         raise ValueError("grid sizes must be positive")
-    total = 1
-    for m in sizes:
-        total *= 2 * m + 1
-    if total > max_cells:
-        raise ResourceLimitError(f"grid {sizes} has {total} cells, over {max_cells}")
-    tops = [Cube(pos, tuple(p + 1 for p in pos))
-            for pos in itertools.product(*(range(m) for m in sizes))]
-    if not sizes:
-        tops = [Cube((), ())]
-    closed, _ = face_closure(tops)
-    base = _precubical_from_cubes(closed)
-    initial = Cube((0,) * len(sizes), (0,) * len(sizes)).cell_id()
-    return Grid(tuple(sizes), Hda(base, initial))
+    _check_grid_limit(sizes, max_cells)
+    base = _precubical(sorted(_grid_boxes(sizes), key=_box_key))
+    return Grid(tuple(sizes), Hda(base, ",".join(["0"] * len(sizes)) or "pt"))
 
 
 def make_grid(*sizes: int, max_cells: int = DEFAULT_GRID_LIMIT) -> Hda:
     return grid(*sizes, max_cells=max_cells).hda
 
 
-def _parse_tokens(cell: str) -> tuple[tuple[int, bool], ...]:
-    """Per-axis (coordinate, is_span) pairs for a cube cell id."""
-    if cell == "pt":
-        return ()
-    out = []
-    for tok in cell.split(","):
-        if tok.endswith("s"):
-            out.append((int(tok[:-1]), True))
-        else:
-            out.append((int(tok), False))
-    return tuple(out)
-
-
-def grid_to_bulk(g: Grid) -> Sculpture:
-    """Embed a grid into the bulk with one event per unit step of each axis.
+def _bulk_image(cell: str, sizes: Sequence[int]) -> str:
+    """The bulk image of a grid cell, one event per unit step of each axis.
 
     Along axis k at position j, the first j of that axis' events are done,
     the (j+1)-th runs exactly on the span from j to j+1, the rest have not
     started.
     """
-    d = sum(g.sizes)
-    em: dict[str, str] = {}
-    for cell in g.hda.all_cells():
-        chunks = []
-        for (j, is_span), m in zip(_parse_tokens(cell), g.sizes):
-            if is_span:
-                chunks.append("1" * j + "x" + "0" * (m - j - 1))
-            else:
-                chunks.append("1" * j + "0" * (m - j))
-        em[cell] = "".join(chunks)
-    return Sculpture(g.hda, d, em)
+    chunks = []
+    for tok, m in zip(cell.split(","), sizes):
+        j = int(tok.rstrip("s"))
+        chunks.append("1" * j + ("x" + "0" * (m - j - 1) if tok.endswith("s") else "0" * (m - j)))
+    return "".join(chunks)
+
+
+def grid_to_bulk(g: Grid) -> Sculpture:
+    """Embed a grid into the bulk with one event per unit step of each axis."""
+    return Sculpture(g.hda, sum(g.sizes),
+                     {c: _bulk_image(c, g.sizes) for c in g.hda.all_cells()})
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +203,23 @@ def grid_to_bulk(g: Grid) -> Sculpture:
 
 @dataclass(frozen=True)
 class ComplexEmbedding:
-    """An HDA built from a complex, with its bounding-grid embedding."""
+    """An HDA built from a complex, with its bounding-grid embedding; the
+    grid, of ``sizes``, is built only when ``grid`` is read."""
 
     complex: EuclideanComplex
     hda: Hda
-    grid: Grid
+    sizes: tuple[int, ...]
     grid_map: Mapping[str, str]   # complex cell id -> grid cell id
     added_faces: tuple[Cube, ...]
 
+    @cached_property
+    def grid(self) -> Grid:
+        return grid(*self.sizes)
+
     def to_sculpture(self) -> Sculpture:
-        bulk_em = grid_to_bulk(self.grid).em
-        return Sculpture(self.hda, sum(self.grid.sizes),
-                         {c: bulk_em[self.grid_map[c]] for c in self.hda.all_cells()})
+        return Sculpture(self.hda, sum(self.sizes),
+                         {c: _bulk_image(self.grid_map[c], self.sizes)
+                          for c in self.hda.all_cells()})
 
 
 def complex_to_hda(cubes: Iterable, initial: Sequence[int] | None = None,
@@ -217,24 +231,22 @@ def complex_to_hda(cubes: Iterable, initial: Sequence[int] | None = None,
     Axes along which the complex is flat are projected away in the grid.
     """
     comp, added = euclidean_complex(cubes, auto_close=auto_close)
-    ordered = comp.sorted_cubes()
-    lo = tuple(min(c.lower[i] for c in ordered) for i in range(comp.ambient))
-    hi = tuple(max(c.upper[i] for c in ordered) for i in range(comp.ambient))
+    ordered = sorted(((c.lower, c.upper) for c in comp.cubes), key=_box_key)
+    lo = tuple(map(min, zip(*(lower for lower, _ in ordered))))
+    hi = tuple(map(max, zip(*(upper for _, upper in ordered))))
     axes = [i for i in range(comp.ambient) if hi[i] > lo[i]]
     if initial is None:
         initial = lo
     init_cube = Cube(tuple(initial), tuple(initial))
     if init_cube not in comp.cubes:
         raise ValueError(f"initial vertex {tuple(initial)} is not in the complex")
-    base = _precubical_from_cubes(ordered)
-    h = Hda(base, init_cube.cell_id())
-    g = grid(*(hi[i] - lo[i] for i in axes))
-    grid_map = {}
-    for c in ordered:
-        shifted = Cube(tuple(c.lower[i] - lo[i] for i in axes),
-                       tuple(c.upper[i] - lo[i] for i in axes))
-        grid_map[c.cell_id()] = shifted.cell_id()
-    return ComplexEmbedding(comp, h, g, grid_map, added)
+    base = _precubical(ordered)
+    # all_cells() lists the cells in the order of ``ordered``
+    grid_map = {cid: ",".join(_token(lower[i] - lo[i], upper[i] - lo[i])
+                              for i in axes) or "pt"
+                for cid, (lower, upper) in zip(base.all_cells(), ordered)}
+    return ComplexEmbedding(comp, Hda(base, init_cube.cell_id()),
+                            tuple(hi[i] - lo[i] for i in axes), grid_map, added)
 
 
 def sculpture_to_complex(s: Sculpture) -> EuclideanComplex:

@@ -10,14 +10,14 @@ closure touches a held position.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import (HeldAtEndError, InitialForbiddenError, PvSyntaxError,
                      UnmatchedReleaseError)
-from .euclid import ComplexEmbedding, Cube, complex_to_hda
+from .euclid import (ComplexEmbedding, _check_grid_limit, _grid_boxes,
+                     complex_to_hda)
 from .precubical import restrict_to_reachable
 
 _TOKEN = re.compile(r"(?P<kind>[PV])\((?P<name>[A-Za-z_][A-Za-z0-9_]*)\)$")
@@ -117,40 +117,33 @@ def pv_to_complex(prog: PvProgram) -> ComplexEmbedding:
     The returned complex carries every kept cell.  The automaton is its
     restriction to cells reachable from the all-zero corner: forbidden
     regions can pinch off pockets that no execution enters, and automata
-    are connected by convention.
+    are connected by convention.  A program whose grid would have more
+    than ``DEFAULT_GRID_LIMIT`` cells is refused before any cell is built.
     """
     if not prog.processes:
         raise ValueError("program has no processes")
     sizes = tuple(len(p) for p in prog.processes)
+    _check_grid_limit(sizes)
     holds = {r: [_holds_table(p, r) for p in prog.processes]
              for r in prog.resources}
 
-    def axis_tokens(m: int):
-        for j in range(m + 1):
-            yield (j, False)
-        for j in range(m):
-            yield (j, True)
-
-    kept: list[Cube] = []
-    for profile in itertools.product(*(axis_tokens(m) for m in sizes)):
-        ok = True
+    kept = []
+    for lower, upper in _grid_boxes(sizes):
         for r, tables in holds.items():
             total = 0
-            for (j, is_span), table in zip(profile, tables):
-                if table[j] or (is_span and table[j + 1]):
+            for a, b, table in zip(lower, upper, tables):
+                if table[a] or table[b]:
                     total += 1
             if total > prog.resources[r]:
-                ok = False
                 break
-        if ok:
-            kept.append(Cube(tuple(j for j, _ in profile),
-                             tuple(j + s for j, s in profile)))
-    origin = Cube((0,) * len(sizes), (0,) * len(sizes))
-    if origin not in kept:
+        else:
+            kept.append((lower, upper))
+    origin = (0,) * len(sizes)
+    if (origin, origin) not in kept:
         raise InitialForbiddenError("the all-zero corner is forbidden")
     # the keep rule is monotone under taking faces, so the set is face-closed
-    emb = complex_to_hda(kept, initial=(0,) * len(sizes), auto_close=False)
+    emb = complex_to_hda(kept, initial=origin, auto_close=False)
     reachable = restrict_to_reachable(emb.hda)
     grid_map = {c: emb.grid_map[c] for c in reachable.all_cells()}
-    return ComplexEmbedding(emb.complex, reachable, emb.grid, grid_map,
+    return ComplexEmbedding(emb.complex, reachable, emb.sizes, grid_map,
                             emb.added_faces)

@@ -131,6 +131,16 @@ def test_pv_build(tmp_path, capsys):
     assert data["hda"]["initial"] == "0,0"
 
 
+def test_pv_build_over_the_grid_limit_exits_2(tmp_path, capsys):
+    pv_path = tmp_path / "big.pv"
+    pv_path.write_text("P(a) V(a) " * 15 + "\n" + ("P(a) V(a) " * 15 + "\n") * 2)
+    code, out = run_cli(capsys, "pv", "build", str(pv_path))
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ResourceLimitError",
+        "message": "grid (30, 30, 30) has 226981 cells, over 200000"}
+
+
 def test_corpus_run(capsys):
     code, out = run_cli(capsys, "corpus", "run")
     assert code == 0

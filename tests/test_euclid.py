@@ -127,6 +127,19 @@ def test_flat_axes_are_projected_away():
     assert validate_sculpture(emb.to_sculpture()).ok
 
 
+def test_small_complex_in_a_large_bounding_box_is_built_and_sculptable():
+    # 2,001 cells along the diagonal of a 250 x 250 box, whose grid would
+    # have 251,001 cells, over the grid limit; nothing here reads that grid
+    emb = complex_to_hda([cube((i, i), (i + 1, i + 1)) for i in range(250)])
+    assert emb.hda.base.size() == 2001 and emb.sizes == (250, 250)
+    v = decide_sculptable(emb.hda)
+    assert v.sculptable and v.d == 500
+    sc = emb.to_sculpture()
+    assert sc.d == 500 and validate_sculpture(sc).ok
+    with pytest.raises(ResourceLimitError):
+        emb.grid
+
+
 def test_initial_vertex_must_exist():
     with pytest.raises(ValueError):
         complex_to_hda([cube((0, 1), (1, 1)), cube((1, 0), (1, 1))])

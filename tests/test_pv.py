@@ -1,12 +1,13 @@
 """PV parsing and the execution-space complex."""
 
 import itertools
+import re
 
 import pytest
 
-from hdasculpt import (HeldAtEndError, PvSyntaxError, UnmatchedReleaseError,
-                       decide_sculptable, is_connected, parse_pv,
-                       partition_to_json, pv_to_complex)
+from hdasculpt import (HeldAtEndError, PvSyntaxError, ResourceLimitError,
+                       UnmatchedReleaseError, decide_sculptable, is_connected,
+                       parse_pv, partition_to_json, pv_to_complex)
 
 TWO_MUTEX = "P(a) P(b) V(b) V(a)\nP(b) P(a) V(a) V(b)\n"
 BRANCHING = {
@@ -212,6 +213,19 @@ def test_branching_pv_programs_are_decided_within_the_default_budget(text, d, no
     v = decide_sculptable(pv_to_complex(parse_pv(text)).hda)
     assert v.sculptable and v.d == d
     assert nodes is None or v.nodes_explored == nodes
+
+
+def test_grid_limit_is_checked_before_any_cell_is_enumerated(monkeypatch):
+    # three processes of 30 actions: a 31 x 31 x 31 grid of positions
+    prog = parse_pv(("P(a) V(a) " * 15 + "\n") * 3)
+
+    def no_enumeration(*args):
+        raise AssertionError("the cells were enumerated")
+
+    monkeypatch.setattr(itertools, "product", no_enumeration)
+    with pytest.raises(ResourceLimitError,
+                       match=re.escape("grid (30, 30, 30) has 226981 cells, over 200000")):
+        pv_to_complex(prog)
 
 
 def test_single_process_is_a_two_edge_path():
