@@ -75,11 +75,15 @@ class Sculpture:
     def image(self, cell: str) -> str:
         return self.em[cell]
 
+
 def validate_sculpture(s: Sculpture) -> ValidationReport:
     """Problems with the embedding; only the HDA's when the HDA itself fails."""
     report = validate_hda(s.hda)
-    if not report.ok:
-        return report
+    return validate_images(s) if report.ok else report
+
+
+def validate_images(s: Sculpture) -> ValidationReport:
+    """Problems with the embedding of an HDA already known to be valid."""
     problems = []
     seen: dict[str, str] = {}
     for c in s.hda.all_cells():

@@ -14,9 +14,9 @@ import sys
 from . import corpus as corpus_mod
 from .bulk import make_bulk, sculpture_from_json, sculpture_to_json, st_to_sculpture, sculpture_to_st
 from .decision import decide_sculptable, path_covering, verdict_to_json
-from .errors import HdaError
+from .errors import HdaError, InvalidStructureError
 from .euclid import complex_to_json, make_grid
-from .precubical import hda_from_json, hda_to_json
+from .precubical import hda_from_json, hda_to_json, validate_hda
 from .pv import parse_pv, pv_to_complex
 from .randgen import random_hda_batch
 from .render import to_dot, to_tikz
@@ -48,8 +48,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_cover(args) -> int:
     h = hda_from_json(_load(args.input))
-    covering = path_covering(h)
-    _emit(st_to_json(covering.structure))
+    report = validate_hda(h)
+    if not report.ok:
+        raise InvalidStructureError(str(report), report)
+    _emit(st_to_json(path_covering(h).structure))
     return 0
 
 

@@ -19,15 +19,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .bulk import Sculpture, validate_sculpture
+from .bulk import Sculpture, validate_images
 from .errors import (CyclicError, InvalidStructureError, NotConnectedError,
                      NotProperError, RepeatingEventsError, ResourceLimitError)
 from .events import (EventPartition, UniversalEvents, class_indices,
                      classes_by_label, has_non_repeating_events, is_ordered,
                      multilabel, partition_to_json, transitive_closure,
                      universal_events)
-from .precubical import (Hda, Path, Step, coface_index, is_acyclic,
-                         is_connected, normalize_path, validate_hda)
+from .precubical import (Hda, Path, Step, is_acyclic, is_connected,
+                         normalize_path, validate_hda)
 from .st_chu import StConfig, StStructure
 
 
@@ -102,7 +102,7 @@ def _covering(h: Hda, ue: UniversalEvents) -> Covering:
     index = {r: i for i, r in enumerate(ue.reps)}
     bits = {c: tuple(1 << index[lab] for lab in multilabel(h.base, c, ue))
             for c in h.all_cells()}
-    cofaces = coface_index(h.base)
+    cofaces = h.base.cofaces
     start = (h.initial, 0, 0)
     parents: dict = {start: None}
     masks: dict[str, list[tuple[int, int]]] = {c: [] for c in h.all_cells()}
@@ -196,15 +196,11 @@ def _clash(keys):
     return None
 
 
-def _quotient_order(gens, part: Sequence[int]):
-    """The order between distinct classes of ``part``, transitively closed."""
-    return transitive_closure((part[a], part[b]) for a, b in gens if part[a] != part[b])
-
-
-def _linear_extension(gens, part: Sequence[int]) -> list[int] | None:
+def _linear_extension(gens, part: Sequence[int]) -> dict[int, int] | None:
     """The classes of ``part`` in the least linear extension of the order
     pairs ``gens`` between distinct classes, always taking the earliest
-    ready class (Kahn's sort on a heap); None when that order has a cycle."""
+    ready class (Kahn's sort on a heap), each mapped to the bits of the
+    classes below it in that order; None when that order has a cycle."""
     succ: dict[int, list[int]] = {}
     indeg = dict.fromkeys(part, 0)
     for a, b in gens:
@@ -212,17 +208,19 @@ def _linear_extension(gens, part: Sequence[int]) -> list[int] | None:
         if x != y:
             succ.setdefault(x, []).append(y)
             indeg[y] += 1
+    under = dict.fromkeys(indeg, 0)
     ready = [x for x, n in indeg.items() if not n]
     heapq.heapify(ready)
-    out = []
+    below = {}
     while ready:
         x = heapq.heappop(ready)
-        out.append(x)
+        below[x] = under[x]   # every class below x has been popped
         for y in succ.get(x, ()):
+            under[y] |= below[x] | 1 << x
             indeg[y] -= 1
             if not indeg[y]:
                 heapq.heappush(ready, y)
-    return out if len(out) == len(indeg) else None
+    return below if len(below) == len(indeg) else None
 
 
 def check_proper(h: Hda, partition: EventPartition,
@@ -236,37 +234,8 @@ def check_proper(h: Hda, partition: EventPartition,
     """
     if covering is None:
         covering = path_covering(h)
-    return _check_quotient(h, covering, class_indices(covering.ue.reps, partition))
-
-
-def _check_quotient(h: Hda, covering: Covering, part: Sequence[int]):
-    """``check_proper`` for a class-index tuple."""
-    ue = covering.ue
-    if _linear_extension(covering.gens, part) is None:
-        # the least pair of classes each below the other, by name, so the
-        # answer does not follow the closure's hash order
-        order = _quotient_order(covering.gens, part)
-        a, b = min((ue.reps[x], ue.reps[y]) for x, y in order
-                   if x != y and (y, x) in order)
-        return False, Violation(
-            1, f"quotient order is cyclic through {a!r} and {b!r}", cycle=(a, b))
-    table = _class_bits(part)
-    keys: dict[str, list[tuple[int, int]]] = {}
-    for cell in h.all_cells():
-        distinct = list(dict.fromkeys(_cell_keys(covering.masks[cell], table)))
-        if len(distinct) > 1:
-            return False, Violation(
-                2, f"cell {cell!r} keeps {len(distinct)} distinct quotient configs",
-                cells=(cell,), configs=(_key_config(ue, distinct[0]),
-                                        _key_config(ue, distinct[1])))
-        keys[cell] = distinct
-    clash = _clash(keys.items())
-    if clash is not None:
-        a, b, key = clash
-        q = _key_config(ue, key)
-        return False, Violation(3, f"cells {a!r} and {b!r} share quotient config {q}",
-                                cells=(a, b), configs=(q,))
-    return True, None
+    violation = _proper(h, covering, class_indices(covering.ue.reps, partition))[1]
+    return violation is None, violation
 
 
 def build_embedding(h: Hda, partition: EventPartition,
@@ -279,23 +248,49 @@ def build_embedding(h: Hda, partition: EventPartition,
     """
     if covering is None:
         covering = path_covering(h)
-    part = class_indices(covering.ue.reps, partition)
-    ok, violation = _check_quotient(h, covering, part)
-    if not ok:
+    sculpture, violation = _proper(h, covering,
+                                   class_indices(covering.ue.reps, partition))
+    if violation is not None:
         raise NotProperError(violation.message, violation)
-    return _embed(h, covering, part)
+    return sculpture
 
 
-def _embed(h: Hda, covering: Covering, part: Sequence[int]) -> Sculpture:
-    """``build_embedding`` for a class-index tuple already checked proper."""
+def _proper(h: Hda, covering: Covering, part: Sequence[int]):
+    """``check_proper`` and ``build_embedding`` for a class-index tuple.
+
+    Returns (the sculpture, None) or (None, the violation).
+    """
+    ue = covering.ue
     events = _linear_extension(covering.gens, part)
+    if events is None:
+        # the least pair of classes each below the other, by name, so the
+        # answer does not follow the closure's hash order
+        order = transitive_closure((part[a], part[b]) for a, b in covering.gens
+                                   if part[a] != part[b])
+        a, b = min((ue.reps[x], ue.reps[y]) for x, y in order
+                   if x != y and (y, x) in order)
+        return None, Violation(
+            1, f"quotient order is cyclic through {a!r} and {b!r}", cycle=(a, b))
     table = _class_bits(part)
-    em = {}
-    for cell, masks in covering.masks.items():
-        (s, t), = _cell_keys(masks[:1], table)
-        em[cell] = "".join("1" if t >> c & 1 else "x" if s >> c & 1 else "0"
-                           for c in events)
-    return Sculpture(h, len(events), em)
+    keys: dict[str, list[tuple[int, int]]] = {}
+    for cell in h.all_cells():
+        distinct = list(dict.fromkeys(_cell_keys(covering.masks[cell], table)))
+        if len(distinct) > 1:
+            return None, Violation(
+                2, f"cell {cell!r} keeps {len(distinct)} distinct quotient configs",
+                cells=(cell,), configs=(_key_config(ue, distinct[0]),
+                                        _key_config(ue, distinct[1])))
+        keys[cell] = distinct
+    clash = _clash(keys.items())
+    if clash is not None:
+        a, b, key = clash
+        q = _key_config(ue, key)
+        return None, Violation(3, f"cells {a!r} and {b!r} share quotient config {q}",
+                               cells=(a, b), configs=(q,))
+    em = {cell: "".join("1" if t >> c & 1 else "x" if s >> c & 1 else "0"
+                        for c in events)
+          for cell, ((s, t),) in keys.items()}
+    return Sculpture(h, len(events), em), None
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +371,8 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
         nonlocal nodes
         if i == m:
             part = tuple(firsts[d] for d in rgs)
-            return part if _check_quotient(h, covering, part)[0] else None
+            sculpture = _proper(h, covering, part)[0]
+            return None if sculpture is None else (part, sculpture)
         e = 1 << i
         for d in range(len(firsts) + 1):
             nodes += 1
@@ -415,8 +411,8 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
         return Verdict(False, witness=Witness(
             "exhausted", summary=f"no proper identification; {nodes} prefixes checked"),
             nodes_explored=nodes)
-    return Verdict(True, partition=classes_by_label(ue.reps, found),
-                   sculpture=_embed(h, covering, found), nodes_explored=nodes, ue=ue)
+    return Verdict(True, partition=classes_by_label(ue.reps, found[0]),
+                   sculpture=found[1], nodes_explored=nodes, ue=ue)
 
 
 # ---------------------------------------------------------------------------
@@ -646,26 +642,26 @@ def repair_search(h: Hda, covering: Covering | None = None,
         nodes += 1
         if nodes > node_budget:
             raise ResourceLimitError(f"repair search exceeded {node_budget} nodes")
-        if part in seen or _linear_extension(covering.gens, part) is None:
+        below = None if part in seen else _linear_extension(covering.gens, part)
+        if below is None:
             continue  # reached along another merge order, or cyclic
         seen.add(part)
         table = _class_bits(part)
         if first_clash is not None and _clash(
                 (c, _cell_keys(covering.masks[c], table)) for c in h.all_cells()):
             continue
-        order = _quotient_order(covering.gens, part)
         members: dict[int, int] = {}   # class -> the bits of its events
         meets: dict[int, int] = {}     # class -> the events co-occurring with it
         for i, c in enumerate(part):
             members[c] = members.get(c, 0) | 1 << i
             meets[c] = meets.get(c, 0) | cooccur[i]
 
-        def compatible(x, y, order=order, members=members, meets=meets):
+        def compatible(x, y, below=below, members=members, meets=meets):
             # merging order-comparable classes always collapses a square's
             # concurrent pair somewhere along the connecting chain (the
             # tables are bound now: the matchings are read after this pass)
-            return ((x, y) not in order and (y, x) not in order
-                    and not meets[x] & members[y])
+            return not (below[y] >> x & 1 or below[x] >> y & 1
+                        or meets[x] & members[y])
 
         # repair the most constrained conflict: fewest admissible pairings
         # first, shorter pairs breaking ties, so forced repairs chain before
@@ -686,11 +682,10 @@ def repair_search(h: Hda, covering: Covering | None = None,
 
         chosen, count, taus, dead_conflict = _fewest_matchings(conflicts())
         if not pairs:
-            ok, violation = _check_quotient(h, covering, part)
-            if ok:
+            sculpture, violation = _proper(h, covering, part)
+            if sculpture is not None:
                 return Verdict(True, partition=classes_by_label(ue.reps, part),
-                               sculpture=_embed(h, covering, part),
-                               nodes_explored=nodes, ue=ue)
+                               sculpture=sculpture, nodes_explored=nodes, ue=ue)
             if violation.clause == 3 and first_clash is None:
                 first_clash = Witness("label_clash", cells=violation.cells,
                                       config=violation.configs[0])
@@ -761,7 +756,7 @@ def decide_sculptable(h: Hda, oracle: bool = False, max_events: int = 10,
             else:
                 verdict.heuristic_incomplete = True
     if verdict.sculptable:
-        cert = validate_sculpture(verdict.sculpture)
+        cert = validate_images(verdict.sculpture)   # h was validated above
         if not cert.ok:
             raise InvalidStructureError(
                 f"internal error: certificate failed validation: {cert}", cert)

@@ -9,6 +9,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import IllegalPathError, InvalidStructureError, ResourceLimitError
@@ -129,6 +130,25 @@ class PrecubicalSet:
 
     def face(self, alpha: str, k: int, cell: str) -> str:
         return self.s(cell, k) if alpha == "s" else self.t(cell, k)
+
+    # -- the step graph, built on first read ------------------------------
+
+    @cached_property
+    def cofaces(self) -> dict[str, tuple[tuple[int, str], ...]]:
+        """For each cell, the (k, q) pairs with s_k(q) = cell, in declaration order."""
+        idx: dict[str, list[tuple[int, str]]] = {c: [] for c in self.all_cells()}
+        for q in self.all_cells():
+            for k in range(1, self.dim(q) + 1):
+                if (f := self.s(q, k)) in idx:
+                    idx[f].append((k, q))
+        return {c: tuple(v) for c, v in idx.items()}
+
+    @cached_property
+    def successors(self) -> dict[str, tuple[str, ...]]:
+        """Directed step graph: s-steps go up into cofaces, t-steps down to t-faces."""
+        return {c: (*(q for _, q in ups),
+                    *(self.t(c, k) for k in range(1, self.dim(c) + 1)))
+                for c, ups in self.cofaces.items()}
 
 
 def precubical(cells, s_faces, t_faces) -> PrecubicalSet:
@@ -330,34 +350,8 @@ def is_non_selflinked(P: PrecubicalSet):
 # Steps, reachability, cycles
 
 
-def coface_index(P: PrecubicalSet) -> dict[str, tuple[tuple[int, str], ...]]:
-    """For each cell, the (k, q) pairs with s_k(q) = cell, in declaration order."""
-    idx: dict[str, list[tuple[int, str]]] = {c: [] for c in P.all_cells()}
-    for n in sorted(P.cells):
-        if n == 0:
-            continue
-        for q in P.cells[n]:
-            for k in range(1, n + 1):
-                f = P.s(q, k)
-                if f in idx:
-                    idx[f].append((k, q))
-    return {c: tuple(v) for c, v in idx.items()}
-
-
-def step_successors(P: PrecubicalSet, cofaces=None) -> dict[str, tuple[str, ...]]:
-    """Directed step graph: s-steps go up into cofaces, t-steps down to t-faces."""
-    if cofaces is None:
-        cofaces = coface_index(P)
-    succ: dict[str, list[str]] = {c: [] for c in P.all_cells()}
-    for c in P.all_cells():
-        succ[c].extend(q for _, q in cofaces[c])
-        for k in range(1, P.dim(c) + 1):
-            succ[c].append(P.t(c, k))
-    return {c: tuple(v) for c, v in succ.items()}
-
-
 def reachable_cells(h: Hda) -> set[str]:
-    succ = step_successors(h.base)
+    succ = h.base.successors
     seen = {h.initial}
     stack = [h.initial]
     while stack:
@@ -437,8 +431,7 @@ def is_acyclic(h: Hda):
     On failure returns (False, (q, q')) with q, q' in one strongly
     connected component.
     """
-    succ = step_successors(h.base)
-    for comp in _strongly_connected_components(succ):
+    for comp in _strongly_connected_components(h.base.successors):
         if len(comp) > 1:
             comp.sort(key=h.base.declaration_index)
             return False, (comp[0], comp[1])
@@ -477,7 +470,7 @@ def is_rooted(h: Hda, path: Path) -> bool:
 
 def rooted_paths(h: Hda, limit: int = 100000) -> list[Path]:
     """All rooted paths of an acyclic HDA, in deterministic DFS order."""
-    cofaces = coface_index(h.base)
+    cofaces = h.base.cofaces
     out: list[Path] = []
     stack = [Path(h.initial)]
     while stack:

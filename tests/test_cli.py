@@ -95,6 +95,23 @@ def test_cover_command(tmp_path, capsys):
     assert len(data["configs"]) == 9
 
 
+@pytest.mark.parametrize("table, cell, faces, kind", [
+    ("s", "q", ["l"], "face_count"),
+    ("t", "r", ["zz"], "dangling_face"),
+], ids=["one_s_face", "dangling_t_face"])
+@pytest.mark.parametrize("command", ["check", "cover"])
+def test_invalid_hda_exits_2(tmp_path, capsys, command, table, cell, faces, kind):
+    data = hda_to_json(corpus.filled_square())
+    data[table][cell] = faces
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, command, str(path))
+    assert code == 2
+    error = json.loads(out)
+    assert error["error"] == "InvalidStructureError"
+    assert kind in error["message"]
+
+
 def test_convert_chain(tmp_path, capsys):
     from hdasculpt import st_to_json
     st_path = tmp_path / "st.json"

@@ -15,8 +15,8 @@ from hdasculpt import (CyclicError, NotConnectedError, RepeatingEventsError,
                        path_covering, repair_search, rooted_paths,
                        universal_events, validate_path, validate_sculpture)
 from hdasculpt.decision import restricted_growth_strings
-from hdasculpt.errors import HdaError, NotProperError
-from hdasculpt.events import classes_by_label
+from hdasculpt.errors import HdaError, InvalidStructureError, NotProperError
+from hdasculpt.events import classes_by_label, transitive_closure
 from hdasculpt.precubical import elementary_homotopies
 
 
@@ -533,6 +533,106 @@ def test_decision_checks_connectivity_once(monkeypatch):
     monkeypatch.setattr(decision, "is_connected", counted)
     assert decide_sculptable(corpus.matchbox()).sculptable
     assert len(calls) == 1
+
+
+TWO_MUTEX = "P(a) P(b) V(b) V(a)\nP(b) P(a) V(a) V(b)\n"
+
+
+@pytest.mark.parametrize("name", ["matchbox", "two_mutex"])
+def test_decision_derives_each_table_once(monkeypatch, name):
+    # one structural validation (the certificate check reads only the
+    # images), and one coface index and one step graph, cached on the
+    # precubical set
+    import functools
+    import importlib
+
+    from hdasculpt import PrecubicalSet, parse_pv, pv_to_complex
+    precubical = importlib.import_module("hdasculpt.precubical")
+    h = corpus.matchbox() if name == "matchbox" else pv_to_complex(
+        parse_pv(TWO_MUTEX)).hda
+    calls = collections.Counter()
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(precubical, "validate_precubical", counted(
+        "validate_precubical", precubical.validate_precubical))
+    for key in ("cofaces", "successors"):
+        prop = functools.cached_property(counted(key, getattr(PrecubicalSet, key).func))
+        prop.__set_name__(PrecubicalSet, key)
+        monkeypatch.setattr(PrecubicalSet, key, prop)
+    assert decide_sculptable(h).sculptable
+    assert calls == {"validate_precubical": 1, "cofaces": 1, "successors": 1}
+
+
+def test_decision_rejects_a_sculpture_that_fails_its_certificate(monkeypatch):
+    import hdasculpt.decision as decision
+    from hdasculpt import Sculpture
+    proper = decision._proper
+
+    def swapped(h, covering, part):
+        sculpture, violation = proper(h, covering, part)
+        if sculpture is not None:   # swap the images of two vertices
+            em = dict(sculpture.em)
+            a, b = h.grade(0)[:2]
+            em[a], em[b] = em[b], em[a]
+            sculpture = Sculpture(h, sculpture.d, em)
+        return sculpture, violation
+
+    monkeypatch.setattr(decision, "_proper", swapped)
+    with pytest.raises(InvalidStructureError,
+                       match="internal error: certificate failed validation"):
+        decide_sculptable(corpus.matchbox())
+
+
+def _quotient_order(gens, part):
+    """The order between distinct classes of ``part``, transitively closed:
+    the reference for the masks ``_linear_extension`` returns."""
+    return transitive_closure((part[a], part[b]) for a, b in gens if part[a] != part[b])
+
+
+def test_linear_extension_masks_equal_the_transitive_closure():
+    import importlib.util
+    import random
+    import sys
+    from pathlib import Path
+
+    from hdasculpt import parse_pv, pv_to_complex
+    from hdasculpt.decision import _linear_extension
+    from hdasculpt.randgen import random_hda_batch
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    programs = {**workloads.PV_SEARCH, **workloads.GRID_PV}
+    automata = random_hda_batch(7, 60, max_events=10)
+    automata += [pv_to_complex(parse_pv(text)).hda for text in programs.values()]
+    rng = random.Random(2026)
+    outcomes = collections.Counter()
+    for h in automata:
+        try:
+            cov = path_covering(h)
+        except HdaError:
+            continue
+        m = len(cov.ue.reps)
+        for _ in range(20):
+            k = rng.randint(2, max(2, m // 2))   # few classes, so cycles are common
+            labels = [rng.randrange(k) for _ in range(m)]
+            part = tuple(labels.index(lab) for lab in labels)
+            order = _quotient_order(cov.gens, part)
+            below = _linear_extension(cov.gens, part)
+            cyclic = any((y, x) in order for x, y in order)
+            assert (below is None) == cyclic
+            outcomes[cyclic] += 1
+            if below is None:
+                continue
+            assert set(below) == set(part)
+            assert {(x, y) for y in below for x in below if below[y] >> x & 1} == order
+    assert outcomes[True] > 50 and outcomes[False] > 50
 
 
 def _fewest_by_listing(conflicts):

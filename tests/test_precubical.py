@@ -243,10 +243,9 @@ def test_normalize_fuzz_on_bulks():
     import random
 
     from hdasculpt import StConfig, multilabel, universal_events
-    from hdasculpt.precubical import coface_index
 
     def random_rooted_path(h, rng, max_len=10):
-        cofaces = coface_index(h.base)
+        cofaces = h.base.cofaces
         p = Path(h.initial)
         for _ in range(rng.randrange(max_len)):
             cur = p.end()

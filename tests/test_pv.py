@@ -181,8 +181,8 @@ def test_repair_search_builds_each_child_only_when_it_pulls_it(monkeypatch):
     events = []   # each cycle check's answer, and "expand" per expanded node
 
     def counted(kernel, mark):
-        # only the search's own calls: the proper check at a leaf and the
-        # embedding call the same kernel
+        # only the search's own calls: the proper check at a leaf calls the
+        # same kernel
         def wrapped(*args):
             out = kernel(*args)
             if sys._getframe(1).f_code.co_name == "repair_search":
