@@ -19,6 +19,7 @@ from .st_chu import (StStructure, check_regular, chu_string_to_config,
                      config_to_chu_string)
 
 DEFAULT_BULK_LIMIT = 3 ** 12
+_BULK_CHARS = frozenset("0x1")
 
 
 def bulk_dim(cell: str) -> int:
@@ -83,37 +84,49 @@ def validate_sculpture(s: Sculpture) -> ValidationReport:
 
 
 def validate_images(s: Sculpture) -> ValidationReport:
-    """Problems with the embedding of an HDA already known to be valid."""
+    """Problems with the embedding of an HDA already known to be valid.
+
+    Each image's x positions are found once, and its faces are written
+    from them, against the images of the cell's faces read off the HDA's
+    face tables.
+    """
     problems = []
     seen: dict[str, str] = {}
-    for c in s.hda.all_cells():
-        img = s.em.get(c)
-        if img is None:
-            problems.append(Problem("not_total", c, "cell has no bulk image"))
-            continue
-        if len(img) != s.d or any(ch not in "0x1" for ch in img):
-            problems.append(Problem("bad_image", c, f"image {img!r} not a valid tuple"))
-            continue
-        if bulk_dim(img) != s.hda.dim(c):
-            problems.append(Problem(
-                "dimension", c,
-                f"image {img!r} has dimension {bulk_dim(img)}, cell has {s.hda.dim(c)}"))
-            continue
-        if img in seen:
-            problems.append(Problem(
-                "not_injective", c, f"cells {seen[img]!r} and {c!r} share image {img!r}",
-                (seen[img], c)))
-        seen.setdefault(img, c)
-        for k in range(1, s.hda.dim(c) + 1):
-            for alpha in "st":
-                want = s.em.get(s.hda.face(alpha, k, c))
-                got = bulk_face(img, alpha, k)
-                if want != got:
-                    problems.append(Problem(
-                        "face_commutation", c,
-                        f"{alpha}_{k}: bulk face {got!r} != image of face {want!r}",
-                        (alpha, k)))
-    img_init = s.em.get(s.hda.initial)
+    em, base = s.em, s.hda.base
+    for n in sorted(base.cells):
+        for c in base.cells[n]:
+            img = em.get(c)
+            if img is None:
+                problems.append(Problem("not_total", c, "cell has no bulk image"))
+                continue
+            if len(img) != s.d or not _BULK_CHARS.issuperset(img):
+                problems.append(Problem("bad_image", c,
+                                        f"image {img!r} not a valid tuple"))
+                continue
+            xs = [i for i, ch in enumerate(img) if ch == "x"]
+            if len(xs) != n:
+                problems.append(Problem(
+                    "dimension", c,
+                    f"image {img!r} has dimension {len(xs)}, cell has {n}"))
+                continue
+            if img in seen:
+                problems.append(Problem(
+                    "not_injective", c,
+                    f"cells {seen[img]!r} and {c!r} share image {img!r}", (seen[img], c)))
+            seen.setdefault(img, c)
+            if not n:
+                continue
+            faces = (("s", "0", base.s_faces[c]), ("t", "1", base.t_faces[c]))
+            for k, p in enumerate(xs, 1):
+                for alpha, ch, cell_faces in faces:
+                    want = em.get(cell_faces[k - 1])
+                    got = img[:p] + ch + img[p + 1:]
+                    if want != got:
+                        problems.append(Problem(
+                            "face_commutation", c,
+                            f"{alpha}_{k}: bulk face {got!r} != image of face {want!r}",
+                            (alpha, k)))
+    img_init = em.get(s.hda.initial)
     if img_init != "0" * s.d:
         problems.append(Problem("initial", s.hda.initial,
                                 f"initial maps to {img_init!r}, expected all zeros"))

@@ -196,6 +196,90 @@ def _clash(keys):
     return None
 
 
+class _Quotient:
+    """The quotient key of every configuration under a partition that a
+    search refines one merge at a time and coarsens back on backtrack.
+
+    This is trailing, as in MiniSat (Eén and Sörensson, SAT 2003): a merge
+    rewrites only the keys it changes and hands back the list that undoes
+    it.  The configurations are held flat, cell by cell in covering order,
+    with each cell's slice.  The index of the configurations starting each
+    event and the owner of each key are built by ``index``, which a search
+    calls before its first merge: a search that never merges needs neither.
+    """
+
+    def __init__(self, covering: Covering):
+        self.cells: list[str] = []
+        self.keys: list[tuple[int, int]] = []
+        self.span: dict[str, slice] = {}
+        for cell, ms in covering.masks.items():
+            self.span[cell] = slice(len(self.keys), len(self.keys) + len(ms))
+            self.cells += [cell] * len(ms)
+            self.keys += ms
+        self.m = len(covering.ue.reps)
+        self.starting: list[list[int]] = []
+        self.owner: dict[tuple[int, int], str] = {}
+
+    def cell_keys(self):
+        """(cell, that cell's keys) per cell, in covering order."""
+        keys = self.keys
+        return ((cell, keys[at]) for cell, at in self.span.items())
+
+    def index(self):
+        """Build the index, and the owner map unless the discrete partition
+        already clashes; returns that clash, as ``_clash`` gives it, or None."""
+        starting = self.starting = [[] for _ in range(self.m)]
+        for j, (s, _) in enumerate(self.keys):
+            while s:
+                low = s & -s
+                starting[low.bit_length() - 1].append(j)
+                s ^= low
+        clash = _clash(self.cell_keys())
+        if clash is None:
+            self.owner = dict(zip(self.keys, self.cells))
+        return clash
+
+    def merge(self, part: Sequence[int], lo: int, hi: int):
+        """Merge class ``hi`` of ``part`` into class ``lo``.
+
+        Rewrites only the keys holding ``hi``: those of the configurations
+        that start one of its events.  Returns (the undo list, None), or,
+        once a rewritten key is another cell's, (None, that clash as
+        ``_clash`` gives it) after undoing itself.  Every configuration on a
+        key holding ``hi`` moves here, so the old key is dropped.
+        """
+        keys, cells, owner, starting = self.keys, self.cells, self.owner, self.starting
+        hb, lb = 1 << hi, 1 << lo
+        moved = []
+        for e in range(hi, len(part)):   # a class's events follow its index
+            if part[e] != hi:
+                continue
+            for j in starting[e]:
+                old = s, t = keys[j]
+                if not s & hb:
+                    continue   # moved already, through another event of hi
+                new = (s ^ hb | lb, t ^ hb | lb if t & hb else t)
+                cell = cells[j]
+                first = owner.get(new)
+                if first is None:
+                    owner[new] = cell
+                elif first != cell:
+                    self.undo(moved)
+                    return None, (first, cell, new)
+                owner.pop(old, None)
+                keys[j] = new
+                moved.append((j, old, new, first is None))
+        return moved, None
+
+    def undo(self, moved) -> None:
+        keys, cells, owner = self.keys, self.cells, self.owner
+        for j, old, new, fresh in reversed(moved):
+            keys[j] = old
+            owner[old] = cells[j]
+            if fresh:
+                del owner[new]
+
+
 def _linear_extension(gens, part: Sequence[int]) -> dict[int, int] | None:
     """The classes of ``part`` in the least linear extension of the order
     pairs ``gens`` between distinct classes, always taking the earliest
@@ -234,7 +318,7 @@ def check_proper(h: Hda, partition: EventPartition,
     """
     if covering is None:
         covering = path_covering(h)
-    violation = _proper(h, covering, class_indices(covering.ue.reps, partition))[1]
+    violation = _proper(h, covering, *_partition_keys(covering, partition))[1]
     return violation is None, violation
 
 
@@ -248,15 +332,23 @@ def build_embedding(h: Hda, partition: EventPartition,
     """
     if covering is None:
         covering = path_covering(h)
-    sculpture, violation = _proper(h, covering,
-                                   class_indices(covering.ue.reps, partition))
+    sculpture, violation = _proper(h, covering, *_partition_keys(covering, partition))
     if violation is not None:
         raise NotProperError(violation.message, violation)
     return sculpture
 
 
-def _proper(h: Hda, covering: Covering, part: Sequence[int]):
-    """``check_proper`` and ``build_embedding`` for a class-index tuple.
+def _partition_keys(covering: Covering, partition: EventPartition):
+    """The class-index tuple of ``partition``, and each cell's keys under it."""
+    part = class_indices(covering.ue.reps, partition)
+    table = _class_bits(part)
+    return part, ((c, _cell_keys(ms, table)) for c, ms in covering.masks.items())
+
+
+def _proper(h: Hda, covering: Covering, part: Sequence[int], cell_keys):
+    """``check_proper`` and ``build_embedding`` for a class-index tuple,
+    given (cell, keys) for every cell: the keys of its configurations under
+    ``part``, read lazily and only once the order is acyclic.
 
     Returns (the sculpture, None) or (None, the violation).
     """
@@ -271,10 +363,9 @@ def _proper(h: Hda, covering: Covering, part: Sequence[int]):
                    if x != y and (y, x) in order)
         return None, Violation(
             1, f"quotient order is cyclic through {a!r} and {b!r}", cycle=(a, b))
-    table = _class_bits(part)
     keys: dict[str, list[tuple[int, int]]] = {}
-    for cell in h.all_cells():
-        distinct = list(dict.fromkeys(_cell_keys(covering.masks[cell], table)))
+    for cell, found in cell_keys:
+        distinct = list(dict.fromkeys(found))
         if len(distinct) > 1:
             return None, Violation(
                 2, f"cell {cell!r} keeps {len(distinct)} distinct quotient configs",
@@ -329,15 +420,6 @@ class Verdict:
 # Exhaustive search
 
 
-def restricted_growth_strings(m: int):
-    """All restricted growth strings of length m, lexicographically: each
-    digit is at most one more than the largest before it."""
-    out: list[tuple[int, ...]] = [()]
-    for _ in range(m):
-        out = [s + (v,) for s in out for v in range(max(s, default=-1) + 2)]
-    return iter(out)
-
-
 def brute_force_search(h: Hda, covering: Covering | None = None,
                        max_events: int = 10) -> Verdict:
     """Depth-first branch and bound over the partitions of the universal labels.
@@ -346,11 +428,11 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
     TAOCP 4A, 7.2.1.5), built one label at a time.  A prefix stands for its
     classes with every later label a singleton, and every partition below it
     is a coarsening of that; so once two distinct cells share a quotient
-    configuration the whole subtree is skipped.  Assigning a label to a class
-    rewrites only the keys of the configurations that start it, and the
-    rewrite is undone on backtrack.  Each leaf gets the full proper check,
-    so the partition returned is the first proper one in the enumeration.
-    ``nodes_explored`` counts the prefixes checked, not the partitions.
+    configuration the whole subtree is skipped.  Assigning a label to a
+    class is one merge on the quotient state, undone on backtrack.  Each
+    leaf gets the full proper check, so the partition returned is the first
+    proper one in the enumeration.  ``nodes_explored`` counts the prefixes
+    checked, not the partitions.
     """
     if covering is None:
         covering = path_covering(h)
@@ -359,54 +441,33 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
     if m > max_events:
         raise ResourceLimitError(
             f"{m} universal events exceeds the exhaustive-search bound {max_events}")
-    cells = [c for c, ms in covering.masks.items() for _ in ms]
-    keys = [k for ms in covering.masks.values() for k in ms]
-    starting = [[j for j, (s, _) in enumerate(keys) if s >> i & 1] for i in range(m)]
-    owner = {k: c for c, k in zip(cells, keys)}
-    rgs = [0] * m
+    state = _Quotient(covering)
+    part = list(range(m))   # the prefix's classes, later labels singletons
     firsts = [0] if m else []   # the earliest label of each class, by digit
     nodes = 1
 
     def extend(i: int):
         nonlocal nodes
         if i == m:
-            part = tuple(firsts[d] for d in rgs)
-            sculpture = _proper(h, covering, part)[0]
-            return None if sculpture is None else (part, sculpture)
-        e = 1 << i
-        for d in range(len(firsts) + 1):
+            sculpture = _proper(h, covering, tuple(part), state.cell_keys())[0]
+            return None if sculpture is None else (tuple(part), sculpture)
+        for first in firsts:
             nodes += 1
-            rgs[i] = d
-            new_class = d == len(firsts)
-            if new_class:   # i stays the singleton the prefix took it for
-                firsts.append(i)
-            b = 1 << firsts[d]
-            moved = []
-            clash = False
-            for j in () if new_class else starting[i]:
-                old = s, t = keys[j]
-                new = (s ^ e | b, t ^ e | b if t & e else t)
-                fresh = new not in owner
-                if not fresh and owner[new] != cells[j]:
-                    clash = True
-                    break
-                owner[new] = cells[j]
-                owner.pop(old, None)   # every config on this key starts i
-                keys[j] = new
-                moved.append((j, old, new, fresh))
-            found = None if clash else extend(i + 1)
-            if found is not None:
-                return found
-            for j, old, new, fresh in reversed(moved):
-                keys[j] = old
-                owner[old] = cells[j]
-                if fresh:
-                    del owner[new]
-            if new_class:
-                firsts.pop()
-        return None
+            undo, clash = state.merge(part, first, i)
+            if clash is None:
+                part[i] = first
+                found = extend(i + 1)
+                if found is not None:
+                    return found
+                part[i] = i
+                state.undo(undo)
+        nodes += 1   # a new class: i stays the singleton the prefix took it for
+        firsts.append(i)
+        found = extend(i + 1)
+        firsts.pop()
+        return found
 
-    found = extend(min(m, 1)) if _clash(covering.masks.items()) is None else None
+    found = extend(min(m, 1)) if state.index() is None else None
     if found is None:
         return Verdict(False, witness=Witness(
             "exhausted", summary=f"no proper identification; {nodes} prefixes checked"),
@@ -486,10 +547,13 @@ def _homotopy_pair(h: Hda, covering: Covering, cell: str,
     return best[1:]
 
 
-def _pairing_options(labels_a, labels_b, compatible, diverged):
-    """Each position's admissible targets, and the masks of used targets
-    that map a proper prefix onto itself across a divergence; None when no
-    pairing is admissible (see ``_matchings``)."""
+def _matching_table(labels_a, labels_b, compatible, diverged=None):
+    """Each position's admissible targets, and per prefix length the masks
+    of the targets that admissible prefixes of that length use, each with
+    its number of prefixes; None when no pairing is admissible (see
+    ``_matchings``).  The counts are a dynamic program over the positions
+    in order, keyed by the mask of the target positions used so far, so the
+    last level counts the pairings without listing them."""
     n = len(labels_a)
     if (n < 2 or len(set(labels_a)) < n or len(set(labels_b)) < n
             or labels_a[0] == labels_b[0] or labels_a[-1] == labels_b[-1]):
@@ -502,11 +566,20 @@ def _pairing_options(labels_a, labels_b, compatible, diverged):
                for i, lab in enumerate(labels_a)]
     blocked = {(2 << k) - 1 for k in range(n - 1)
                if diverged is not None and diverged[k]}
-    return targets, blocked
+    levels = [{0: 1}]
+    for row in targets:
+        step: dict[int, int] = {}
+        for used, count in levels[-1].items():
+            for j in row:
+                if not used >> j & 1 and used | 1 << j not in blocked:
+                    step[used | 1 << j] = step.get(used | 1 << j, 0) + count
+        levels.append(step)
+    return targets, levels
 
 
-def _matchings(labels_a, labels_b, compatible, diverged=None):
-    """All admissible pairings of two label suffixes, as tuples of targets.
+def _matchings(table, enter, leave):
+    """All admissible pairings of two label suffixes, as tuples of targets,
+    in lexicographic order, from their ``_matching_table``.
 
     Positions whose labels are already identified must pair with each other,
     since a proper identification never merges two events of one suffix, so
@@ -516,80 +589,70 @@ def _matchings(labels_a, labels_b, compatible, diverged=None):
     a pairing mapping a proper prefix onto itself would hand the two distinct
     states after it the same configuration (``diverged[k]`` flags the cut
     after position k).  Suffixes shorter than two positions admit none either.
+
+    Only prefixes that some pairing completes are stepped into: a backward
+    pass over the table's levels keeps each mask from which the last level
+    is reached.  ``enter(k, j)`` is asked before position k takes target j
+    and may refuse that prefix with all its completions; ``leave()``
+    follows each prefix ``enter`` accepted, once its completions are
+    listed.
     """
-    options = _pairing_options(labels_a, labels_b, compatible, diverged)
-    if options is None:
+    if table is None:
         return
-    targets, blocked = options
+    targets, levels = table
+    n = len(targets)
+    # the completable masks per prefix length; a mask of length k has k
+    # bits set, so a step onto a used target never lands in the next level
+    alive = [set() for _ in levels]
+    alive[n] = set(levels[n])
+    for k in range(n - 1, 0, -1):
+        alive[k] = {used for used in levels[k]
+                    if any(used | 1 << j in alive[k + 1] for j in targets[k])}
     tau: list[int] = []
 
     def assign(k, used):
-        if k == len(targets):
+        if k == n:
             yield tuple(tau)
             return
         for j in targets[k]:
-            if not used >> j & 1 and used | 1 << j not in blocked:
-                tau.append(j)
-                yield from assign(k + 1, used | 1 << j)
-                tau.pop()
+            if used | 1 << j not in alive[k + 1] or not enter(k, j):
+                continue
+            tau.append(j)
+            yield from assign(k + 1, used | 1 << j)
+            tau.pop()
+            leave()
 
     yield from assign(0, 0)
-
-
-def _count_matchings(labels_a, labels_b, compatible, diverged=None):
-    """How many pairings ``_matchings`` yields, without listing them: a
-    dynamic program over the positions in order, keyed by the mask of the
-    target positions used so far."""
-    options = _pairing_options(labels_a, labels_b, compatible, diverged)
-    if options is None:
-        return 0
-    targets, blocked = options
-    ways = {0: 1}
-    for row in targets:
-        step: dict[int, int] = {}
-        for used, count in ways.items():
-            for j in row:
-                if not used >> j & 1 and used | 1 << j not in blocked:
-                    step[used | 1 << j] = step.get(used | 1 << j, 0) + count
-        ways = step
-    return sum(ways.values())
 
 
 def _fewest_matchings(conflicts):
     """The conflict with the fewest matchings, counting each and listing none.
 
-    ``conflicts`` yields (size, ``_matchings`` arguments) pairs, read lazily.
-    The first conflict with exactly one matching wins at once; otherwise the
-    least (count, size), the earliest on a tie.  Returns the winner's index
-    (or None), its count, its unread matchings, from which the repair search
-    pulls (and counts in ``nodes_explored``) one child at a time, and whether
-    a conflict read before the choice has none.
+    ``conflicts`` yields (size, ``_matching_table`` arguments) pairs, read
+    lazily.  The first conflict with exactly one matching wins at once;
+    otherwise the least (count, size), the earliest on a tie.  Returns the
+    winner's index (or None), its count, its table, from which the repair
+    search lists its matchings one child at a time, and whether a conflict
+    read before the choice has none.
     """
     best, dead = None, False
     for index, (size, args) in enumerate(conflicts):
-        count = _count_matchings(*args)
+        table = _matching_table(*args)
+        count = 0 if table is None else sum(table[1][-1].values())
         if count == 1:
-            return index, 1, _matchings(*args), dead
+            return index, 1, table, dead
         dead |= not count
         if count and (best is None or (count, size) < best[0]):
-            best = (count, size), index, args
+            best = (count, size), index, table
     if best is None:
-        return None, 0, iter(()), dead
-    (count, _), index, args = best
-    return index, count, _matchings(*args), dead
+        return None, 0, None, dead
+    (count, _), index, table = best
+    return index, count, table, dead
 
 
-def _children(part, taus, edges_a, edges_b):
-    """Per pairing in ``taus``, ``part`` with each matched pair's classes merged."""
-    for tau in taus:
-        child = part
-        for i, j in enumerate(tau):
-            x, y = child[edges_a[i]], child[edges_b[j]]
-            if x != y:   # merge the two classes under the smaller index
-                lo, hi = (x, y) if x < y else (y, x)
-                child = tuple([lo if c == hi else c for c in child])
-        if child != part:
-            yield child
+def _clash_witness(ue: UniversalEvents, clash) -> Witness:
+    a, b, key = clash
+    return Witness("label_clash", cells=(a, b), config=_key_config(ue, key))
 
 
 def repair_search(h: Hda, covering: Covering | None = None,
@@ -602,13 +665,18 @@ def repair_search(h: Hda, covering: Covering | None = None,
     order, co-occurrence, and prefix divergence, and the conflict with the
     fewest of them is repaired first, so forced repairs (two-step
     interleavings included) chain before anything branches.  Branches whose
-    quotient order turns cyclic are dropped; a clash between distinct cells
-    backtracks.  Once a clash is kept as the witness, a node on which two
-    distinct cells share a quotient configuration is skipped with its whole
-    subtree: merging never separates them, so no coarsening is proper.  The
-    other nodes are visited in the same order as without this pruning, so
-    the answer is the same, but ``nodes_explored`` can be lower.  A child is
-    built only when pulled, so ``nodes_explored`` counts the children pulled.
+    quotient order turns cyclic are dropped.
+
+    One quotient state serves the whole search.  A child is built when it
+    is pulled, one matched position at a time, by merges on that state; its
+    merges stay applied while it is expanded and are undone when its
+    parent's next child is built.  A prefix whose merge makes two distinct
+    cells share a quotient configuration is dropped with all its
+    completions: merging never separates them, so no coarsening is proper.
+    The first such clash is kept as the witness, and the nodes left are
+    visited in the same order as without the pruning, so the first proper
+    leaf is the same.  ``nodes_explored`` counts the children pulled; the
+    budget bounds those and the dropped prefixes together.
     """
     if covering is None:
         covering = path_covering(h)
@@ -626,8 +694,48 @@ def repair_search(h: Hda, covering: Covering | None = None,
             cooccur[low.bit_length() - 1] |= s
             rest ^= low
 
+    state = _Quotient(covering)
     first_clash: Witness | None = None
-    nodes = 0
+    nodes = pruned = 0
+
+    def check_budget():
+        if nodes + pruned > node_budget:
+            raise ResourceLimitError(f"repair search exceeded {node_budget} nodes")
+
+    def children(part, table, edges_a, edges_b):
+        """Per matching, in ``_matchings`` order, ``part`` with each matched
+        pair's classes merged under the smaller index, unless that is
+        ``part`` itself."""
+        parts, trail = [part], []
+
+        def enter(k, j):
+            nonlocal pruned, first_clash
+            cur, undo = parts[-1], None
+            x, y = cur[edges_a[k]], cur[edges_b[j]]
+            if x != y:
+                lo, hi = (x, y) if x < y else (y, x)
+                undo, clash = state.merge(cur, lo, hi)
+                if clash is not None:
+                    pruned += 1
+                    check_budget()
+                    if first_clash is None:
+                        first_clash = _clash_witness(ue, clash)
+                    return False
+                cur = tuple([lo if c == hi else c for c in cur])
+            parts.append(cur)
+            trail.append(undo)
+            return True
+
+        def leave():
+            parts.pop()
+            undo = trail.pop()
+            if undo is not None:
+                state.undo(undo)
+
+        for _ in _matchings(table, enter, leave):
+            if parts[-1] != part:
+                yield parts[-1]
+
     index = {r: i for i, r in enumerate(ue.reps)}
     normal: dict = {}   # normal forms and pair divergences, see _homotopy_pair
     # the stack holds, per expanded node, the generator of its children; the
@@ -640,16 +748,11 @@ def repair_search(h: Hda, covering: Covering | None = None,
             stack.pop()
             continue
         nodes += 1
-        if nodes > node_budget:
-            raise ResourceLimitError(f"repair search exceeded {node_budget} nodes")
+        check_budget()
         below = None if part in seen else _linear_extension(covering.gens, part)
         if below is None:
             continue  # reached along another merge order, or cyclic
         seen.add(part)
-        table = _class_bits(part)
-        if first_clash is not None and _clash(
-                (c, _cell_keys(covering.masks[c], table)) for c in h.all_cells()):
-            continue
         members: dict[int, int] = {}   # class -> the bits of its events
         meets: dict[int, int] = {}     # class -> the events co-occurring with it
         for i, c in enumerate(part):
@@ -670,7 +773,7 @@ def repair_search(h: Hda, covering: Covering | None = None,
 
         def conflicts():
             for cell in h.grade(0):
-                keys = _cell_keys(covering.masks[cell], table)
+                keys = state.keys[state.span[cell]]
                 if len(set(keys)) > 1:
                     edges_a, edges_b, states_a, states_b = _homotopy_pair(
                         h, covering, cell, keys, normal)
@@ -680,30 +783,29 @@ def repair_search(h: Hda, covering: Covering | None = None,
                         *(tuple(part[i] for i in events) for events in pairs[-1]),
                         compatible, [sa != sb for sa, sb in zip(states_a, states_b)])
 
-        chosen, count, taus, dead_conflict = _fewest_matchings(conflicts())
+        chosen, count, table, dead_conflict = _fewest_matchings(conflicts())
         if not pairs:
-            sculpture, violation = _proper(h, covering, part)
+            sculpture, violation = _proper(h, covering, part, state.cell_keys())
             if sculpture is not None:
                 return Verdict(True, partition=classes_by_label(ue.reps, part),
                                sculpture=sculpture, nodes_explored=nodes, ue=ue)
+            # a clash here is the discrete partition's: every other node was
+            # built without one
             if violation.clause == 3 and first_clash is None:
                 first_clash = Witness("label_clash", cells=violation.cells,
                                       config=violation.configs[0])
             continue
+        if nodes == 1:   # the first merge is near: index the discrete partition
+            clash = state.index()
+            if clash is not None:   # and every partition coarsens it
+                return Verdict(False, witness=_clash_witness(ue, clash),
+                               nodes_explored=nodes)
         if dead_conflict and count > 1:
             # an irreparable conflict remains, so only forced repairs are
             # worth following for the sake of a sharper witness
             chosen = None
-        if chosen is None:
-            # the branch dies; if the merges so far already label two
-            # distinct cells alike, report that pair as the obstruction
-            clash = None if first_clash is not None else _clash(
-                (c, _cell_keys(covering.masks[c], table)) for c in h.all_cells())
-            if clash is not None:
-                first_clash = Witness("label_clash", cells=clash[:2],
-                                      config=_key_config(ue, clash[2]))
-            continue
-        stack.append(_children(part, taus, *pairs[chosen]))
+        if chosen is not None:
+            stack.append(children(part, table, *pairs[chosen]))
     if first_clash is not None:
         return Verdict(False, witness=first_clash, nodes_explored=nodes)
     return Verdict(False, witness=Witness(

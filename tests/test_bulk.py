@@ -208,3 +208,88 @@ def test_sculpture_json_roundtrip():
     back = sculpture_from_json(sculpture_to_json(sc))
     assert back.d == sc.d and dict(back.em) == dict(sc.em)
     assert back.hda.base.cells == sc.hda.base.cells
+
+
+def _validate_images_by_definition(s):
+    """The certificate check as first written: each face recomputes the
+    image's x positions through ``bulk_face``, and the characters are
+    tested one by one.  The reference for ``validate_images``."""
+    from hdasculpt.bulk import bulk_dim, bulk_face
+    from hdasculpt.precubical import Problem, ValidationReport
+    problems = []
+    seen = {}
+    for c in s.hda.all_cells():
+        img = s.em.get(c)
+        if img is None:
+            problems.append(Problem("not_total", c, "cell has no bulk image"))
+            continue
+        if len(img) != s.d or any(ch not in "0x1" for ch in img):
+            problems.append(Problem("bad_image", c, f"image {img!r} not a valid tuple"))
+            continue
+        if bulk_dim(img) != s.hda.dim(c):
+            problems.append(Problem(
+                "dimension", c,
+                f"image {img!r} has dimension {bulk_dim(img)}, cell has {s.hda.dim(c)}"))
+            continue
+        if img in seen:
+            problems.append(Problem(
+                "not_injective", c, f"cells {seen[img]!r} and {c!r} share image {img!r}",
+                (seen[img], c)))
+        seen.setdefault(img, c)
+        for k in range(1, s.hda.dim(c) + 1):
+            for alpha in "st":
+                want = s.em.get(s.hda.face(alpha, k, c))
+                got = bulk_face(img, alpha, k)
+                if want != got:
+                    problems.append(Problem(
+                        "face_commutation", c,
+                        f"{alpha}_{k}: bulk face {got!r} != image of face {want!r}",
+                        (alpha, k)))
+    img_init = s.em.get(s.hda.initial)
+    if img_init != "0" * s.d:
+        problems.append(Problem("initial", s.hda.initial,
+                                f"initial maps to {img_init!r}, expected all zeros"))
+    return ValidationReport(tuple(problems))
+
+
+def test_certificate_check_reports_as_its_definition_on_corruptions():
+    # seeded corruptions of PV and grid sculptures: two images swapped, one
+    # character replaced (by another of 0x1 or by a foreign one), an image
+    # removed, or several of these at once
+    import random
+
+    from hdasculpt import decide_sculptable, parse_pv, pv_to_complex
+    from hdasculpt.bulk import validate_images
+    from hdasculpt.euclid import grid, grid_to_bulk
+    programs = ["P(a) P(b) V(b) V(a)\nP(b) P(a) V(a) V(b)\n", "P(a) V(a)\n" * 3,
+                "P(a) P(b) V(a) V(b)\nP(b) P(c) V(b) V(c)\nP(c) P(a) V(c) V(a)\n"]
+    sculptures = [decide_sculptable(pv_to_complex(parse_pv(t)).hda).sculpture
+                  for t in programs]
+    sculptures += [pv_to_complex(parse_pv(programs[0])).to_sculpture(),
+                   grid_to_bulk(grid(3, 3, 3)),
+                   corpus.matchbox_sculpture()]
+    rng = random.Random(2026)
+    kinds = set()
+    for _ in range(260):
+        sc = rng.choice(sculptures)
+        em = dict(sc.em)
+        for _ in range(rng.randint(1, 3)):
+            how = rng.randrange(3)
+            if how == 0:
+                a, b = rng.sample(sorted(em), 2)
+                em[a], em[b] = em[b], em[a]
+            elif how == 1:
+                c = rng.choice(sorted(em))
+                i = rng.randrange(len(em[c]))
+                em[c] = em[c][:i] + rng.choice("01x?") + em[c][i + 1:]
+            else:
+                del em[rng.choice(sorted(em))]
+        bad = Sculpture(sc.hda, sc.d, em)
+        want = _validate_images_by_definition(bad)
+        assert validate_images(bad) == want
+        kinds.update(p.kind for p in want.problems)
+    for sc in sculptures:
+        assert validate_images(sc) == _validate_images_by_definition(sc)
+        assert validate_images(sc).ok
+    assert kinds == {"not_total", "bad_image", "dimension", "not_injective",
+                     "face_commutation", "initial"}

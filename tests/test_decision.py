@@ -14,7 +14,6 @@ from hdasculpt import (CyclicError, NotConnectedError, RepeatingEventsError,
                        is_connected, make_bulk, multilabel, partition_of,
                        path_covering, repair_search, rooted_paths,
                        universal_events, validate_path, validate_sculpture)
-from hdasculpt.decision import restricted_growth_strings
 from hdasculpt.errors import HdaError, InvalidStructureError, NotProperError
 from hdasculpt.events import classes_by_label, transitive_closure
 from hdasculpt.precubical import elementary_homotopies
@@ -279,6 +278,15 @@ def test_antisymmetry_violation_does_not_follow_the_hash_seed():
 # Searches
 
 
+def restricted_growth_strings(m: int):
+    """All restricted growth strings of length m, lexicographically: each
+    digit is at most one more than the largest before it."""
+    out: list[tuple[int, ...]] = [()]
+    for _ in range(m):
+        out = [s + (v,) for s in out for v in range(max(s, default=-1) + 2)]
+    return iter(out)
+
+
 def test_rgs_enumeration_is_lexicographic_and_complete():
     strings = list(restricted_growth_strings(3))
     assert strings == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
@@ -498,7 +506,7 @@ def test_branch_and_bound_prunes_the_batch_oracle_fallback():
     assert len(universal_events(h.base).reps) == 10
     v = brute_force_search(h)
     assert not v.sculptable and v.witness.kind == "exhausted"
-    assert v.nodes_explored < 115_975
+    assert v.nodes_explored == 10_712
 
 
 def test_partition_from_rgs():
@@ -573,8 +581,8 @@ def test_decision_rejects_a_sculpture_that_fails_its_certificate(monkeypatch):
     from hdasculpt import Sculpture
     proper = decision._proper
 
-    def swapped(h, covering, part):
-        sculpture, violation = proper(h, covering, part)
+    def swapped(h, covering, part, cell_keys):
+        sculpture, violation = proper(h, covering, part, cell_keys)
         if sculpture is not None:   # swap the images of two vertices
             em = dict(sculpture.em)
             a, b = h.grade(0)[:2]
@@ -594,14 +602,15 @@ def _quotient_order(gens, part):
     return transitive_closure((part[a], part[b]) for a, b in gens if part[a] != part[b])
 
 
-def test_linear_extension_masks_equal_the_transitive_closure():
+@pytest.fixture(scope="module")
+def kernel_cases():
+    """The coverings of ``random_hda_batch(7, 60, max_events=10)`` and of
+    the benchmark's PV programs."""
     import importlib.util
-    import random
     import sys
     from pathlib import Path
 
     from hdasculpt import parse_pv, pv_to_complex
-    from hdasculpt.decision import _linear_extension
     from hdasculpt.randgen import random_hda_batch
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads",
@@ -611,13 +620,16 @@ def test_linear_extension_masks_equal_the_transitive_closure():
     programs = {**workloads.PV_SEARCH, **workloads.GRID_PV}
     automata = random_hda_batch(7, 60, max_events=10)
     automata += [pv_to_complex(parse_pv(text)).hda for text in programs.values()]
+    return _covered(automata)
+
+
+def test_linear_extension_masks_equal_the_transitive_closure(kernel_cases):
+    import random
+
+    from hdasculpt.decision import _linear_extension
     rng = random.Random(2026)
     outcomes = collections.Counter()
-    for h in automata:
-        try:
-            cov = path_covering(h)
-        except HdaError:
-            continue
+    for _, cov in kernel_cases:
         m = len(cov.ue.reps)
         for _ in range(20):
             k = rng.randint(2, max(2, m // 2))   # few classes, so cycles are common
@@ -635,6 +647,46 @@ def test_linear_extension_masks_equal_the_transitive_closure():
     assert outcomes[True] > 50 and outcomes[False] > 50
 
 
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_quotient_state_tracks_the_class_bit_table(kernel_cases, data):
+    # random merge sequences on one state: after each merge the keys are
+    # those the class-bit table gives, a merge clashes exactly when two
+    # distinct cells then share a key, and undoing restores keys and owners
+    from hdasculpt.decision import _cell_keys, _clash, _class_bits, _Quotient
+    h, cov = data.draw(hst.sampled_from(kernel_cases))
+    m = len(cov.ue.reps)
+    state = _Quotient(cov)
+    clash = state.index()
+    assert clash == _clash(cov.masks.items())
+    if clash is not None or m < 2:
+        return
+    merges = data.draw(hst.lists(hst.tuples(hst.integers(0, m - 1),
+                                            hst.integers(0, m - 1)), max_size=m))
+    part, trail = tuple(range(m)), []
+    for a, b in merges:
+        lo, hi = sorted((part[a], part[b]))
+        if lo == hi:
+            continue
+        child = tuple(lo if c == hi else c for c in part)
+        table = _class_bits(child)
+        want = [(c, _cell_keys(ms, table)) for c, ms in cov.masks.items()]
+        before = list(state.keys), dict(state.owner)
+        undo, clash = state.merge(part, lo, hi)
+        assert (clash is None) == (_clash(want) is None)
+        if clash is not None:
+            assert clash[0] != clash[1]
+            assert (state.keys, state.owner) == before
+            continue
+        assert list(state.cell_keys()) == want
+        assert state.owner == dict(zip(state.keys, state.cells))
+        trail.append((undo, before))
+        part = child
+    for undo, before in reversed(trail):
+        state.undo(undo)
+        assert (state.keys, state.owner) == before
+
+
 def _fewest_by_listing(conflicts):
     """The rule the chooser keeps: list every conflict's matchings,
     take the first with exactly one, or else the least (count, size), the
@@ -647,11 +699,18 @@ def _fewest_by_listing(conflicts):
             any(not taus for _, taus in listed))
 
 
+def _listed(table):
+    """Every matching of a ``_matching_table``, with no prefix refused."""
+    from hdasculpt.decision import _matchings
+    return list(_matchings(table, lambda k, j: True, lambda: None))
+
+
 @hst.composite
 def matching_args(draw, max_n=8):
-    """Arguments of ``_matchings``: two label suffixes over a small alphabet,
-    so labels are shared and sometimes repeat, a random compatibility
-    relation, and cut flags for all positions but the last, or none."""
+    """Arguments of ``_matching_table``: two label suffixes over a small
+    alphabet, so labels are shared and sometimes repeat, a random
+    compatibility relation, and cut flags for all positions but the last,
+    or none."""
     rnd = draw(hst.randoms(use_true_random=True))
     n = rnd.randint(0, max_n)
     alphabet = "abcdefghijklmnop"[:rnd.randint(max(n, 1), 16)]
@@ -668,8 +727,10 @@ def matching_args(draw, max_n=8):
 @settings(max_examples=300, deadline=None)
 @given(matching_args())
 def test_counting_matchings_equals_listing_them(args):
-    from hdasculpt.decision import _count_matchings, _matchings
-    assert _count_matchings(*args) == sum(1 for _ in _matchings(*args))
+    from hdasculpt.decision import _matching_table
+    table = _matching_table(*args)
+    count = 0 if table is None else sum(table[1][-1].values())
+    assert count == len(_listed(table))
 
 
 def _admissible_by_definition(labels_a, labels_b, compatible, diverged):
@@ -697,8 +758,8 @@ def _admissible_by_definition(labels_a, labels_b, compatible, diverged):
 @settings(max_examples=300, deadline=None)
 @given(matching_args(max_n=6))
 def test_matchings_are_the_admissible_permutations_in_order(args):
-    from hdasculpt.decision import _matchings
-    assert list(_matchings(*args)) == _admissible_by_definition(*args)
+    from hdasculpt.decision import _matching_table
+    assert _listed(_matching_table(*args)) == _admissible_by_definition(*args)
 
 
 @settings(max_examples=200, deadline=None)
@@ -706,11 +767,12 @@ def test_matchings_are_the_admissible_permutations_in_order(args):
 def test_lockstep_choice_equals_listing_every_matching(conflicts):
     # the chooser counts each conflict's matchings and lists only the
     # winner's; it must pick as listing every one would
-    from hdasculpt.decision import _fewest_matchings, _matchings
+    from hdasculpt.decision import _fewest_matchings, _matching_table
     sized = [(len(args[0]), args) for args in conflicts]
-    index, count, taus, dead = _fewest_matchings(iter(sized))
-    want = _fewest_by_listing((size, _matchings(*args)) for size, args in sized)
-    assert (index, list(taus)) == want[:2]
+    index, count, table, dead = _fewest_matchings(iter(sized))
+    want = _fewest_by_listing((size, _listed(_matching_table(*args)))
+                              for size, args in sized)
+    assert (index, _listed(table)) == want[:2]
     assert count == len(want[1])
     if len(want[1]) != 1:   # a forced choice ignores the dead flag
         assert dead == want[2]

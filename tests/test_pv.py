@@ -163,9 +163,9 @@ def test_two_mutex_hda_is_sculptable():
     v = decide_sculptable(emb.hda)
     assert v.sculptable and v.d == 8
     # the count of children pulled pins down which conflict each node
-    # repairs; the clashing nodes the search prunes here are leaves, so it is
-    # the unpruned count
-    assert v.nodes_explored == 3_910
+    # repairs: the root's first matching clashes at a prefix and is dropped
+    # unbuilt, and its next child is proper
+    assert v.nodes_explored == 2
 
 
 @pytest.mark.parametrize("name", sorted(BRANCHING))
@@ -178,26 +178,35 @@ def test_branching_pv_programs_keep_their_partition(name):
 def test_repair_search_builds_each_child_only_when_it_pulls_it(monkeypatch):
     import sys
     import hdasculpt.decision as decision
-    events = []   # each cycle check's answer, and "expand" per expanded node
+    # each cycle check's answer, "build" per matching whose merges are all
+    # applied, and "expand" per node whose conflicts are scanned
+    events = []
 
-    def counted(kernel, mark):
+    def cycle_checked(order):
         # only the search's own calls: the proper check at a leaf calls the
         # same kernel
-        def wrapped(*args):
-            out = kernel(*args)
-            if sys._getframe(1).f_code.co_name == "repair_search":
-                events.append(mark(out))
-            return out
-        return wrapped
+        if sys._getframe(2).f_code.co_name == "repair_search":
+            events.append(order is not None)
+        return order
 
-    monkeypatch.setattr(decision, "_linear_extension", counted(
-        decision._linear_extension, lambda order: order is not None))
-    monkeypatch.setattr(decision, "_class_bits", counted(
-        decision._class_bits, lambda table: "expand"))
-    v = decision.repair_search(pv_to_complex(parse_pv(TWO_MUTEX)).hda)
-    assert v.sculptable
-    assert sum(e != "expand" for e in events) <= v.nodes_explored
-    # a child that passes the cycle check is expanded before the next is built
+    def built(taus):
+        for tau in taus:
+            events.append("build")
+            yield tau
+
+    linear_extension, fewest = decision._linear_extension, decision._fewest_matchings
+    matchings = decision._matchings
+    monkeypatch.setattr(decision, "_linear_extension",
+                        lambda *args: cycle_checked(linear_extension(*args)))
+    monkeypatch.setattr(decision, "_fewest_matchings",
+                        lambda conflicts: events.append("expand") or fewest(conflicts))
+    monkeypatch.setattr(decision, "_matchings", lambda *args: built(matchings(*args)))
+    v = decision.repair_search(pv_to_complex(parse_pv("P(a) V(a)\n" * 4)).hda)
+    assert v.sculptable and v.nodes_explored > 2
+    assert sum(isinstance(e, bool) for e in events) <= v.nodes_explored
+    # each child is checked as soon as it is built, and a child that passes
+    # the cycle check is expanded before the next is built
+    assert all(a == "build" for a, b in zip(events, events[1:]) if isinstance(b, bool))
     assert all(b == "expand" for a, b in zip(events, events[1:]) if a is True)
 
 
@@ -213,6 +222,20 @@ def test_branching_pv_programs_are_decided_within_the_default_budget(text, d, no
     v = decide_sculptable(pv_to_complex(parse_pv(text)).hda)
     assert v.sculptable and v.d == d
     assert nodes is None or v.nodes_explored == nodes
+
+
+@pytest.mark.parametrize("text, d", [
+    ("P(a) P(b) P(c) V(c) V(b) V(a)\nP(c) P(b) P(a) V(a) V(b) V(c)\n", 12),
+    (TWO_MUTEX + "P(a) P(b) V(b) V(a)\n", 12),
+    ("P(a) P(b) V(b) V(a) P(a) P(b) V(b) V(a)\n"
+     "P(b) P(a) V(a) V(b) P(b) P(a) V(a) V(b)\n", 16),
+    ("P(a) P(b) V(b) V(a) P(a) V(a)\nP(b) P(a) V(a) V(b) P(b) V(b)\n", 12),
+], ids=["three_res", "cross3", "two_mutex_x2", "twomutex_long"])
+def test_frontier_pv_programs_are_decided_within_the_default_budget(text, d):
+    # each has a root conflict with many matchings, nearly all of whose
+    # prefixes already clash; three_res's has 328,746,151 matchings
+    v = decide_sculptable(pv_to_complex(parse_pv(text)).hda)
+    assert v.sculptable and v.d == d
 
 
 def test_grid_limit_is_checked_before_any_cell_is_enumerated(monkeypatch):
