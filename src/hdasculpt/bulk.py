@@ -103,7 +103,10 @@ def validate_images(s: Sculpture) -> ValidationReport:
                 problems.append(Problem("bad_image", c,
                                         f"image {img!r} not a valid tuple"))
                 continue
-            xs = [i for i, ch in enumerate(img) if ch == "x"]
+            xs, p = [], img.find("x")
+            while p >= 0:
+                xs.append(p)
+                p = img.find("x", p + 1)
             if len(xs) != n:
                 problems.append(Problem(
                     "dimension", c,

@@ -33,13 +33,22 @@ def _load(path: str) -> dict:
         return json.load(fh)
 
 
+def _load_hda(path: str):
+    """The HDA of a file: HDA JSON, or what ``pv build`` writes, whose
+    ``hda`` member holds it."""
+    data = _load(path)
+    if isinstance(data, dict) and "cells" not in data and "hda" in data:
+        data = data["hda"]
+    return hda_from_json(data)
+
+
 def _error(exc) -> int:
     _emit({"error": type(exc).__name__, "message": str(exc)})
     return 2
 
 
 def _cmd_check(args) -> int:
-    h = hda_from_json(_load(args.input))
+    h = _load_hda(args.input)
     verdict = decide_sculptable(h, oracle=args.oracle, max_events=args.max_events,
                                 node_budget=args.node_budget)
     _emit(verdict_to_json(verdict))
@@ -47,7 +56,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    h = hda_from_json(_load(args.input))
+    h = _load_hda(args.input)
     report = validate_hda(h)
     if not report.ok:
         raise InvalidStructureError(str(report), report)

@@ -24,8 +24,7 @@ from .errors import (CyclicError, InvalidStructureError, NotConnectedError,
                      NotProperError, RepeatingEventsError, ResourceLimitError)
 from .events import (EventPartition, UniversalEvents, class_indices,
                      classes_by_label, has_non_repeating_events, is_ordered,
-                     multilabel, partition_to_json, transitive_closure,
-                     universal_events)
+                     partition_to_json, transitive_closure, universal_events)
 from .precubical import (Hda, Path, Step, is_acyclic, is_connected,
                          normalize_path, validate_hda)
 from .st_chu import StConfig, StStructure
@@ -100,9 +99,8 @@ def _covering(h: Hda, ue: UniversalEvents) -> Covering:
     order: s-steps by coface, then t-steps for k = 1..dim.
     """
     index = {r: i for i, r in enumerate(ue.reps)}
-    bits = {c: tuple(1 << index[lab] for lab in multilabel(h.base, c, ue))
-            for c in h.all_cells()}
-    cofaces = h.base.cofaces
+    bits = _event_bits(h.base, ue, index)
+    cofaces, t_faces = h.base.cofaces, h.base.t_faces
     start = (h.initial, 0, 0)
     parents: dict = {start: None}
     masks: dict[str, list[tuple[int, int]]] = {c: [] for c in h.all_cells()}
@@ -119,7 +117,9 @@ def _covering(h: Hda, ue: UniversalEvents) -> Covering:
                     f"event {ue.reps[b.bit_length() - 1]!r} restarted entering {up!r}",
                     None)
             moves.append((up, s | b, t, "s", k))
-        moves += [(h.t(cell, k), s, t | b, "t", k) for k, b in enumerate(bits[cell], 1)]
+        if cell_bits := bits[cell]:
+            moves += [(f, s, t | b, "t", k)
+                      for k, (f, b) in enumerate(zip(t_faces[cell], cell_bits), 1)]
         for target, s2, t2, direction, k in moves:
             new_key = (target, s2, t2)
             if new_key not in parents:
@@ -129,6 +129,24 @@ def _covering(h: Hda, ue: UniversalEvents) -> Covering:
     return Covering(ue=ue, masks={c: tuple(ms) for c, ms in masks.items()},
                     gens=tuple((index[a], index[b]) for a, b in ue.generators),
                     _parents=parents)
+
+
+def _event_bits(base, ue: UniversalEvents, index: Mapping[str, int]):
+    """Each cell's ``multilabel``, as the bits of its events' positions.
+
+    By ``multilabel``'s definition an n-cell's first n - 1 events are those
+    of its s_n-face, and its last is the last of its s_{n-1}-face's, so the
+    cells are read in dimension order off their faces' tuples.
+    """
+    s_faces = base.s_faces
+    bits = dict.fromkeys(base.grade(0), ())
+    bits.update((e, (1 << index[ue.rep[e]],)) for e in base.grade(1))
+    for n in sorted(base.cells):
+        if n >= 2:
+            for q in base.cells[n]:
+                faces = s_faces[q]
+                bits[q] = bits[faces[n - 1]] + (bits[faces[n - 2]][n - 2],)
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +222,9 @@ class _Quotient:
     rewrites only the keys it changes and hands back the list that undoes
     it.  The configurations are held flat, cell by cell in covering order,
     with each cell's slice.  The index of the configurations starting each
-    event and the owner of each key are built by ``index``, which a search
-    calls before its first merge: a search that never merges needs neither.
+    event, the events each event is started together with, and the owner
+    of each key are built by ``index``, which a search calls before its
+    first merge: a search that never merges needs none of them.
     """
 
     def __init__(self, covering: Covering):
@@ -218,6 +237,7 @@ class _Quotient:
             self.keys += ms
         self.m = len(covering.ue.reps)
         self.starting: list[list[int]] = []
+        self.cooccur: list[int] = []   # event -> the bits of the events started with it
         self.owner: dict[tuple[int, int], str] = {}
 
     def cell_keys(self):
@@ -226,14 +246,19 @@ class _Quotient:
         return ((cell, keys[at]) for cell, at in self.span.items())
 
     def index(self):
-        """Build the index, and the owner map unless the discrete partition
-        already clashes; returns that clash, as ``_clash`` gives it, or None."""
+        """Build the index and the co-occurrence table, and the owner map
+        unless the discrete partition already clashes; returns that clash,
+        as ``_clash`` gives it, or None."""
         starting = self.starting = [[] for _ in range(self.m)]
+        cooccur = self.cooccur = [0] * self.m
         for j, (s, _) in enumerate(self.keys):
-            while s:
-                low = s & -s
-                starting[low.bit_length() - 1].append(j)
-                s ^= low
+            rest = s
+            while rest:
+                low = rest & -rest
+                e = low.bit_length() - 1
+                starting[e].append(j)
+                cooccur[e] |= s
+                rest ^= low
         clash = _clash(self.cell_keys())
         if clash is None:
             self.owner = dict(zip(self.keys, self.cells))
@@ -378,10 +403,42 @@ def _proper(h: Hda, covering: Covering, part: Sequence[int], cell_keys):
         q = _key_config(ue, key)
         return None, Violation(3, f"cells {a!r} and {b!r} share quotient config {q}",
                                cells=(a, b), configs=(q,))
-    em = {cell: "".join("1" if t >> c & 1 else "x" if s >> c & 1 else "0"
-                        for c in events)
-          for cell, ((s, t),) in keys.items()}
-    return Sculpture(h, len(events), em), None
+    return Sculpture(h, len(events), _images(events, keys)), None
+
+
+_DIGIT_CHARS = str.maketrans("012", "0x1")
+
+
+def _images(events: Sequence[int], keys) -> dict[str, str]:
+    """Each cell's bulk image: per class, in the order ``events`` lists
+    them, 0 when not started, x while running and 1 when done.
+
+    A class's bit in a key adds 8 ** (its distance from the last class),
+    and a done class is in both masks (t within s), so the sum of both
+    masks' weights, written in octal, spells the digits 0, 1 and 2.  The
+    weights are summed a byte of mask at a time from one table per byte,
+    each built by doubling; a leading 1 keeps the zeros.
+    """
+    d = len(events)
+    m = max(events, default=-1) + 1
+    weight = [0] * m
+    for at, c in enumerate(events):
+        weight[c] = 1 << 3 * (d - 1 - at)
+    tables = []
+    for low in range(0, m, 8):
+        table = [0]
+        for w in weight[low:low + 8]:
+            table += [v + w for v in table]
+        tables.append(table)
+    top, width = 1 << 3 * d, len(tables)
+    em = {}
+    for cell, ((s, t),) in keys.items():
+        v = top
+        for table, bs, bt in zip(tables, s.to_bytes(width, "little"),
+                                 t.to_bytes(width, "little")):
+            v += table[bs] + table[bt]
+        em[cell] = format(v, "o")[1:].translate(_DIGIT_CHARS)
+    return em
 
 
 # ---------------------------------------------------------------------------
@@ -685,17 +742,8 @@ def repair_search(h: Hda, covering: Covering | None = None,
     if mismatch is not None:
         return Verdict(False, witness=mismatch)
 
-    # events started together along some path may never be identified
-    cooccur = [0] * len(ue.reps)
-    for s, _ in {k for ms in covering.masks.values() for k in ms}:
-        rest = s
-        while rest:
-            low = rest & -rest
-            cooccur[low.bit_length() - 1] |= s
-            rest ^= low
-
     state = _Quotient(covering)
-    first_clash: Witness | None = None
+    root_clash = first_clash = None
     nodes = pruned = 0
 
     def check_budget():
@@ -755,14 +803,11 @@ def repair_search(h: Hda, covering: Covering | None = None,
         seen.add(part)
         members: dict[int, int] = {}   # class -> the bits of its events
         meets: dict[int, int] = {}     # class -> the events co-occurring with it
-        for i, c in enumerate(part):
-            members[c] = members.get(c, 0) | 1 << i
-            meets[c] = meets.get(c, 0) | cooccur[i]
 
-        def compatible(x, y, below=below, members=members, meets=meets):
+        def compatible(x, y):
             # merging order-comparable classes always collapses a square's
-            # concurrent pair somewhere along the connecting chain (the
-            # tables are bound now: the matchings are read after this pass)
+            # concurrent pair somewhere along the connecting chain, and
+            # events started together along some path may never be identified
             return not (below[y] >> x & 1 or below[x] >> y & 1
                         or meets[x] & members[y])
 
@@ -772,9 +817,19 @@ def repair_search(h: Hda, covering: Covering | None = None,
         pairs = []
 
         def conflicts():
+            nonlocal root_clash
             for cell in h.grade(0):
                 keys = state.keys[state.span[cell]]
                 if len(set(keys)) > 1:
+                    if not pairs:   # the node's first conflict: build its tables
+                        if nodes == 1:   # the first merge is near: index the root
+                            root_clash = state.index()
+                            if root_clash is not None:
+                                return   # and every partition coarsens it
+                        cooccur = state.cooccur
+                        for i, c in enumerate(part):
+                            members[c] = members.get(c, 0) | 1 << i
+                            meets[c] = meets.get(c, 0) | cooccur[i]
                     edges_a, edges_b, states_a, states_b = _homotopy_pair(
                         h, covering, cell, keys, normal)
                     pairs.append([[index[ue.label(e)] for e in edges]
@@ -784,6 +839,9 @@ def repair_search(h: Hda, covering: Covering | None = None,
                         compatible, [sa != sb for sa, sb in zip(states_a, states_b)])
 
         chosen, count, table, dead_conflict = _fewest_matchings(conflicts())
+        if root_clash is not None:
+            return Verdict(False, witness=_clash_witness(ue, root_clash),
+                           nodes_explored=nodes)
         if not pairs:
             sculpture, violation = _proper(h, covering, part, state.cell_keys())
             if sculpture is not None:
@@ -795,11 +853,6 @@ def repair_search(h: Hda, covering: Covering | None = None,
                 first_clash = Witness("label_clash", cells=violation.cells,
                                       config=violation.configs[0])
             continue
-        if nodes == 1:   # the first merge is near: index the discrete partition
-            clash = state.index()
-            if clash is not None:   # and every partition coarsens it
-                return Verdict(False, witness=_clash_witness(ue, clash),
-                               nodes_explored=nodes)
         if dead_conflict and count > 1:
             # an irreparable conflict remains, so only forced repairs are
             # worth following for the sake of a sharper witness

@@ -82,32 +82,32 @@ def transitive_closure(pairs: Iterable[tuple[str, str]]):
 
 
 def universal_events(P) -> UniversalEvents:
-    """Quotient of the 1-cells by opposite-face equivalence, with its order."""
+    """Quotient of the 1-cells by opposite-face equivalence, with its order.
+
+    Built once per precubical set, on first read, and kept on it.
+    """
     base = P.base if isinstance(P, Hda) else P
+    return base.universal_events
+
+
+def _universal_events(base: PrecubicalSet) -> UniversalEvents:
     edges = base.grade(1)
-    decl = {e: i for i, e in enumerate(edges)}
+    squares = [(base.s_faces[q], base.t_faces[q]) for q in base.grade(2)]
     uf = UnionFind(edges)
-    for q in base.grade(2):
-        for i in (1, 2):
-            uf.union(base.s(q, i), base.t(q, i))
+    for s, t in squares:
+        uf.union(s[0], t[0])
+        uf.union(s[1], t[1])
     groups: dict[str, list[str]] = {}
     for e in edges:
         groups.setdefault(uf.find(e), []).append(e)
-    rep_of_root = {root: min(g, key=decl.__getitem__) for root, g in groups.items()}
-    rep = {e: rep_of_root[uf.find(e)] for e in edges}
-    classes = tuple(
-        frozenset(groups[root])
-        for root in sorted(groups, key=lambda r: decl[rep_of_root[r]]))
-    gens = []
-    for q in base.grade(2):
-        pair = (rep[base.s(q, 2)], rep[base.s(q, 1)])
-        if pair not in gens:
-            gens.append(pair)
-    reps = tuple(min(c, key=decl.__getitem__) for c in classes)
+    # a class is listed when its earliest-declared member is read, and it
+    # lists its members in declaration order: that first one names it
+    members = list(groups.values())
+    rep = {e: g[0] for g in members for e in g}
+    gens = tuple(dict.fromkeys((rep[s[1]], rep[s[0]]) for s, _ in squares))
     return UniversalEvents(
-        classes=classes, reps=reps, rep=rep,
-        order=transitive_closure(gens),
-        generators=tuple(gens))
+        classes=tuple(map(frozenset, members)), reps=tuple(g[0] for g in members),
+        rep=rep, order=transitive_closure(gens), generators=gens)
 
 
 def multilabel(P, q: str, ue: UniversalEvents | None = None) -> tuple[str, ...]:
@@ -189,10 +189,11 @@ def is_ordered(P, ue: UniversalEvents | None = None):
 def _sequential_arcs(h: Hda) -> dict[str, tuple[tuple[str, str], ...]]:
     """state -> ((edge, next_state), ..) for steps up an edge and down again."""
     arcs: dict[str, list[tuple[str, str]]] = {v: [] for v in h.grade(0)}
+    s_faces, t_faces = h.base.s_faces, h.base.t_faces
     for e in h.grade(1):
-        v, w = h.s(e, 1), h.t(e, 1)
+        v = s_faces[e][0]
         if v in arcs:
-            arcs[v].append((e, w))
+            arcs[v].append((e, t_faces[e][0]))
     return {v: tuple(a) for v, a in arcs.items()}
 
 
@@ -242,42 +243,64 @@ def has_non_repeating_events(h: Hda, ue: UniversalEvents | None = None):
     if ue is None:
         ue = universal_events(h.base)
     arcs = _sequential_arcs(h)
-    # cycle detection restricted to states reachable sequentially
-    color: dict[str, int] = {}
-    stack_path: list[str] = []
-
-    def visit(v: str):
-        color[v] = 1
-        stack_path.append(v)
-        for e, w in arcs[v]:
-            if color.get(w, 0) == 1:
-                return stack_path[stack_path.index(w):]
-            if color.get(w, 0) == 0:
-                cyc = visit(w)
-                if cyc is not None:
-                    return cyc
-        stack_path.pop()
-        color[v] = 2
-        return None
-
-    cycle = visit(h.initial)
+    cycle = _sequential_cycle(h.initial, arcs)
     if cycle is not None:
         return False, _pumped_repeat_witness(h, ue, arcs, cycle)
 
+    # depth first over (state, label set) pairs; each entry's trail is the
+    # linked list (edge, state, previous trail) of the arcs that reached it,
+    # read back into a path only for the witness
+    label = ue.rep
     seen_memo: set[tuple[str, frozenset]] = set()
-    stack: list[tuple[str, frozenset, Path]] = [(h.initial, frozenset(), Path(h.initial))]
+    stack: list[tuple[str, frozenset, tuple | None]] = [(h.initial, frozenset(), None)]
     while stack:
-        v, labels, path = stack.pop()
+        v, labels, trail = stack.pop()
         for e, w in arcs[v]:
-            lab = ue.label(e)
-            ext = path.extend("s", 1, e).extend("t", 1, w)
+            lab = label[e]
             if lab in labels:
-                return False, ext
+                return False, _trail_path(h.initial, (e, w, trail))
             key = (w, labels | {lab})
             if key not in seen_memo:
                 seen_memo.add(key)
-                stack.append((w, labels | {lab}, ext))
+                stack.append((*key, (e, w, trail)))
     return True, None
+
+
+def _sequential_cycle(initial: str, arcs) -> list[str] | None:
+    """The states of the first cycle a depth-first search from ``initial``
+    closes, from the state it re-enters to the last, or None.
+
+    The search is iterative, one arc iterator per state on the current
+    route, so a long chain of states does not nest calls.
+    """
+    on_route = {initial: 0}   # state -> its position on the current route
+    done: set[str] = set()
+    route, work = [initial], [iter(arcs[initial])]
+    while work:
+        for _, w in work[-1]:
+            if w in on_route:
+                return route[on_route[w]:]
+            if w not in done:
+                on_route[w] = len(route)
+                route.append(w)
+                work.append(iter(arcs[w]))
+                break
+        else:
+            work.pop()
+            v = route.pop()
+            del on_route[v]
+            done.add(v)
+    return None
+
+
+def _trail_path(start: str, trail) -> Path:
+    """The sequential path from ``start`` along a linked trail of arcs."""
+    steps: list[Step] = []
+    while trail is not None:
+        e, w, trail = trail
+        steps += (Step("t", 1, w), Step("s", 1, e))
+    steps.reverse()
+    return Path(start, tuple(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -137,18 +137,27 @@ class PrecubicalSet:
     def cofaces(self) -> dict[str, tuple[tuple[int, str], ...]]:
         """For each cell, the (k, q) pairs with s_k(q) = cell, in declaration order."""
         idx: dict[str, list[tuple[int, str]]] = {c: [] for c in self.all_cells()}
-        for q in self.all_cells():
-            for k in range(1, self.dim(q) + 1):
-                if (f := self.s(q, k)) in idx:
-                    idx[f].append((k, q))
+        s_faces = self.s_faces
+        for n in sorted(self.cells):
+            if n:
+                for q in self.cells[n]:
+                    for k, f in enumerate(s_faces[q], 1):
+                        if f in idx:
+                            idx[f].append((k, q))
         return {c: tuple(v) for c, v in idx.items()}
 
     @cached_property
     def successors(self) -> dict[str, tuple[str, ...]]:
         """Directed step graph: s-steps go up into cofaces, t-steps down to t-faces."""
-        return {c: (*(q for _, q in ups),
-                    *(self.t(c, k) for k in range(1, self.dim(c) + 1)))
+        dim_of, t_faces = self._dim_of, self.t_faces
+        return {c: (*(q for _, q in ups), *(t_faces[c] if dim_of[c] else ()))
                 for c, ups in self.cofaces.items()}
+
+    @cached_property
+    def universal_events(self):
+        """The universal events (``events.universal_events``), built on first read."""
+        from .events import _universal_events
+        return _universal_events(self)
 
 
 def precubical(cells, s_faces, t_faces) -> PrecubicalSet:
@@ -217,16 +226,18 @@ def validate_precubical(raw: PrecubicalSet) -> ValidationReport:
     ranging over the two face kinds.
     """
     problems: list[Problem] = []
+    dim_of = raw._dim_of
+    tables = (("s", raw.s_faces), ("t", raw.t_faces))
     for n in sorted(raw.cells):
         for c in raw.cells[n]:
             if n == 0:
-                for kind, table in (("s", raw.s_faces), ("t", raw.t_faces)):
+                for kind, table in tables:
                     if table.get(c):
                         problems.append(Problem(
                             "face_count", c,
                             f"0-cell carries {kind}-faces", (kind,)))
                 continue
-            for kind, table in (("s", raw.s_faces), ("t", raw.t_faces)):
+            for kind, table in tables:
                 faces = table.get(c)
                 if faces is None or len(faces) != n:
                     got = 0 if faces is None else len(faces)
@@ -235,15 +246,16 @@ def validate_precubical(raw: PrecubicalSet) -> ValidationReport:
                         f"expected {n} {kind}-faces, got {got}", (kind, got)))
                     continue
                 for k, f in enumerate(faces, start=1):
-                    if not raw.has_cell(f):
+                    m = dim_of.get(f)
+                    if m is None:
                         problems.append(Problem(
                             "dangling_face", c,
                             f"{kind}_{k} references missing cell {f!r}",
                             (kind, k, f)))
-                    elif raw.dim(f) != n - 1:
+                    elif m != n - 1:
                         problems.append(Problem(
                             "wrong_dimension", c,
-                            f"{kind}_{k} = {f!r} has dimension {raw.dim(f)},"
+                            f"{kind}_{k} = {f!r} has dimension {m},"
                             f" expected {n - 1}",
                             (kind, k, f)))
     if problems:
@@ -253,12 +265,13 @@ def validate_precubical(raw: PrecubicalSet) -> ValidationReport:
         if n < 2:
             continue
         for c in raw.cells[n]:
+            own = [(kind, table, table[c]) for kind, table in tables]
             for l in range(2, n + 1):
                 for k in range(1, l):
-                    for alpha in "st":
-                        for beta in "st":
-                            lhs = raw.face(alpha, k, raw.face(beta, l, c))
-                            rhs = raw.face(beta, l - 1, raw.face(alpha, k, c))
+                    for alpha, alpha_faces, alpha_of_c in own:
+                        for beta, beta_faces, beta_of_c in own:
+                            lhs = alpha_faces[beta_of_c[l - 1]][k - 1]
+                            rhs = beta_faces[alpha_of_c[k - 1]][l - 2]
                             if lhs != rhs:
                                 problems.append(Problem(
                                     "identity_violation", c,
@@ -622,10 +635,11 @@ def normalize_path(h: Hda, path: Path) -> Path:
 
 
 def precubical_to_json(P: PrecubicalSet) -> dict:
+    faced = [c for n in sorted(P.cells) if n >= 1 for c in P.cells[n]]
     return {
         "cells": {str(n): list(P.cells[n]) for n in sorted(P.cells)},
-        "s": {c: list(P.s_faces[c]) for c in P.all_cells() if P.dim(c) >= 1},
-        "t": {c: list(P.t_faces[c]) for c in P.all_cells() if P.dim(c) >= 1},
+        "s": {c: list(P.s_faces[c]) for c in faced},
+        "t": {c: list(P.t_faces[c]) for c in faced},
     }
 
 

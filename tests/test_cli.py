@@ -291,11 +291,38 @@ def test_convert_repeated_event_names_exits_2(tmp_path, capsys, source, target, 
 
 
 def test_check_too_deep_input_exits_2(tmp_path, capsys):
-    # a 1,500-edge chain nests the non-repeating check deeper than Python's
-    # default recursion limit; that is an error, not a negative verdict
+    # a cell table nested deeper than the JSON reader's recursion limit;
+    # that is an error, not a negative verdict
+    path = tmp_path / "deep.json"
+    depth = 100_000
+    path.write_text('{"cells": ' + "[" * depth + "]" * depth + ', "initial": "0"}')
+    code, out = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "RecursionError"
+
+
+def test_check_a_long_chain(tmp_path, capsys):
+    # 1,500 states in a row: the non-repeating check walks them without
+    # nesting a call per state
     from hdasculpt import make_grid
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(hda_to_json(make_grid(1500))))
     code, out = run_cli(capsys, "check", str(path))
-    assert code == 2
-    assert json.loads(out)["error"] == "RecursionError"
+    assert code == 0
+    assert json.loads(out)["d"] == 1500
+
+
+@pytest.mark.parametrize("command", ["check", "cover"])
+def test_check_and_cover_read_pv_build_output(tmp_path, capsys, command):
+    pv_path = tmp_path / "three_res.pv"
+    pv_path.write_text("P(a) P(b) P(c) V(c) V(b) V(a)\n"
+                       "P(c) P(b) P(a) V(a) V(b) V(c)\n")
+    code, built = run_cli(capsys, "pv", "build", str(pv_path))
+    assert code == 0
+    path = tmp_path / "three_res.json"
+    path.write_text(built)
+    code, out = run_cli(capsys, command, str(path))
+    assert code == 0
+    hda_path = tmp_path / "hda.json"
+    hda_path.write_text(json.dumps(json.loads(built)["hda"]))
+    assert run_cli(capsys, command, str(hda_path)) == (0, out)

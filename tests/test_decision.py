@@ -846,3 +846,110 @@ def test_returned_embedding_is_pinned(name):
     sc = decide_sculptable(h).sculpture
     assert sc.d == d
     assert sc.em == dict(item.split(":") for item in text.split())
+
+
+# ---------------------------------------------------------------------------
+# Per-cell tables against the bodies they replaced
+
+
+def _table_cases():
+    """The corpus, ``random_hda_batch(7, 60, max_events=10)``, the PV
+    programs of test_construction and the benchmark's grids."""
+    from test_construction import PROGRAMS, WORKLOADS
+
+    from hdasculpt import make_grid, parse_pv, pv_to_complex
+    from hdasculpt.randgen import random_hda_batch
+    return [*(f.build() for f in corpus.fixtures()),
+            *random_hda_batch(7, 60, max_events=10),
+            *(pv_to_complex(parse_pv(text)).hda for text in PROGRAMS),
+            *(make_grid(*sizes) for sizes in WORKLOADS.GRID_SIZES)]
+
+
+def test_covering_bits_equal_the_multilabels():
+    from hdasculpt.decision import _event_bits
+    for h in _table_cases():
+        ue = universal_events(h.base)
+        index = {r: i for i, r in enumerate(ue.reps)}
+        want = {c: tuple(1 << index[lab] for lab in multilabel(h.base, c, ue))
+                for c in h.all_cells()}
+        assert _event_bits(h.base, ue, index) == want
+
+
+def _reference_images(events, keys):
+    return {cell: "".join("1" if t >> c & 1 else "x" if s >> c & 1 else "0"
+                          for c in events)
+            for cell, ((s, t),) in keys.items()}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_images_equal_the_digit_formula(seed):
+    # seeded partitions of m events into d classes, listed in a shuffled
+    # order, and keys over the classes with t within s
+    import random
+
+    from hdasculpt.decision import _images
+    rng = random.Random(seed)
+    d = (0, 8, 9, 16, 40, 1, 7, 17, 24, 3, 12, 33)[seed]
+    m = d + rng.randrange(0, 12) if d else 0
+    label = list(range(d)) + [rng.randrange(d) for _ in range(m - d)]
+    rng.shuffle(label)
+    # each class is named by its earliest event, as in a class-index tuple
+    events = list(dict.fromkeys(label.index(c) for c in label))
+    rng.shuffle(events)
+    keys = {}
+    for i in range(30 if d else 1):
+        s = sum(1 << c for c in events if rng.random() < 0.6)
+        t = sum(1 << c for c in events if s >> c & 1 and rng.random() < 0.5)
+        keys[f"c{i}"] = [(s, t)]
+    assert _images(events, keys) == _reference_images(events, keys)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (9,), (8, 8), (20, 20)])
+def test_proper_embedding_equals_the_digit_formula(sizes):
+    from hdasculpt import make_grid
+    from hdasculpt.decision import _linear_extension, _proper, _Quotient
+    h = make_grid(*sizes)
+    cov = path_covering(h)
+    part = tuple(range(len(cov.ue.reps)))
+    sculpture = _proper(h, cov, part, _Quotient(cov).cell_keys())[0]
+    events = _linear_extension(cov.gens, part)
+    keys = {c: list(dict.fromkeys(ms)) for c, ms in cov.masks.items()}
+    assert sculpture.d == sum(sizes)
+    assert sculpture.em == _reference_images(events, keys)
+
+
+def test_universal_events_are_built_once_per_verdict(monkeypatch):
+    import importlib
+    events = importlib.import_module("hdasculpt.events")
+    from hdasculpt import parse_pv, pv_to_complex, verdict_to_json
+    built = events._universal_events
+    calls = []
+
+    def counted(base):
+        calls.append(base)
+        return built(base)
+
+    monkeypatch.setattr(events, "_universal_events", counted)
+    for h in (corpus.matchbox(), pv_to_complex(parse_pv(TWO_MUTEX)).hda):
+        calls.clear()
+        v = decide_sculptable(h)
+        verdict_to_json(v, universal_events(h.base))
+        assert calls == [h.base]
+
+
+def test_search_free_automata_never_index_the_quotient(monkeypatch):
+    # the grids and conflict-free programs of the benchmark have no conflict
+    # at the root, so the search builds no event index, co-occurrence table
+    # or owner map
+    from test_construction import WORKLOADS
+
+    from hdasculpt import make_grid, parse_pv, pv_to_complex
+    from hdasculpt.decision import _Quotient
+    calls = []
+    monkeypatch.setattr(_Quotient, "index", lambda self: calls.append(self))
+    automata = [make_grid(*sizes) for sizes in WORKLOADS.GRID_SIZES]
+    automata += [pv_to_complex(parse_pv(WORKLOADS.GRID_PV[name])).hda
+                 for name in ("distinct3", "capacity2")]
+    for h in automata:
+        assert decide_sculptable(h).sculptable
+    assert calls == []

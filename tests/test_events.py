@@ -1,5 +1,6 @@
 """Universal labeling, order, consistency, repeats, and the ordered variant."""
 
+import collections
 import itertools
 
 import pytest
@@ -211,3 +212,78 @@ def test_variant_preserves_the_path_count():
         var = Hda(symmetric_variant(h.base, use, ue), h.initial)
         assert len(rooted_paths(var, limit=5000)) \
             == len(rooted_paths(h, limit=5000))
+
+
+def _reference_non_repeating(h, ue):
+    """``has_non_repeating_events`` as it was first written: a recursive
+    cycle search, then a search carrying each route as a ``Path``."""
+    from hdasculpt.events import _pumped_repeat_witness, _sequential_arcs
+    from hdasculpt.precubical import Path
+    arcs = _sequential_arcs(h)
+    color: dict = {}
+    stack_path: list = []
+
+    def visit(v):
+        color[v] = 1
+        stack_path.append(v)
+        for e, w in arcs[v]:
+            if color.get(w, 0) == 1:
+                return stack_path[stack_path.index(w):]
+            if color.get(w, 0) == 0:
+                cyc = visit(w)
+                if cyc is not None:
+                    return cyc
+        stack_path.pop()
+        color[v] = 2
+        return None
+
+    cycle = visit(h.initial)
+    if cycle is not None:
+        return False, _pumped_repeat_witness(h, ue, arcs, cycle)
+    seen_memo = set()
+    stack = [(h.initial, frozenset(), Path(h.initial))]
+    while stack:
+        v, labels, path = stack.pop()
+        for e, w in arcs[v]:
+            lab = ue.label(e)
+            ext = path.extend("s", 1, e).extend("t", 1, w)
+            if lab in labels:
+                return False, ext
+            key = (w, labels | {lab})
+            if key not in seen_memo:
+                seen_memo.add(key)
+                stack.append((w, labels | {lab}, ext))
+    return True, None
+
+
+def test_non_repeating_equals_the_recursive_search():
+    # the corpus, a random batch, and the batch with seeded vertex pairs
+    # identified: merging a vertex with one it reaches pumps a cycle
+    import random
+
+    from hdasculpt.randgen import _merge_vertices, random_hda_batch
+    rng = random.Random(5)
+    batch = random_hda_batch(7, 60, max_events=10)
+    cases = [f.build() for f in corpus.fixtures()] + batch
+    for h in batch:
+        for _ in range(3 if len(h.grade(0)) > 1 else 0):
+            keep, drop = rng.sample(h.grade(0), 2)
+            cases.append(_merge_vertices(h, keep, drop))
+    outcomes = collections.Counter()
+    for h in cases:
+        ue = universal_events(h.base)
+        got = has_non_repeating_events(h, ue)
+        assert got == _reference_non_repeating(h, ue)
+        cyclic = not got[0] and len(set(got[1].cells())) < len(got[1].cells())
+        outcomes[got[0], cyclic] += 1
+    # non-repeating, a repeat on an acyclic graph, and a pumped cycle
+    assert min(outcomes[key] for key in [(True, False), (False, False), (False, True)]) >= 5
+
+
+def test_non_repeating_on_a_long_chain():
+    # one call per state would pass Python's recursion limit here
+    from hdasculpt import decide_sculptable, make_grid
+    h = make_grid(1500)
+    assert has_non_repeating_events(h) == (True, None)
+    v = decide_sculptable(h)
+    assert v.sculptable and v.d == 1500

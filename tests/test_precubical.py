@@ -284,3 +284,105 @@ def test_normalize_fuzz_on_bulks():
             assert [s.index for s in climb] == list(range(1, k + 1))
             assert all(s.index == 1 for s in n.steps[:len(n.steps) - k])
             assert config_of(b, ue, n) == config_of(b, ue, p)
+
+
+def _reference_validate(raw):
+    """``validate_precubical`` as it was first written, through the
+    accessors ``has_cell``, ``dim`` and ``face``."""
+    from hdasculpt.precubical import Problem, ValidationReport
+    problems = []
+    for n in sorted(raw.cells):
+        for c in raw.cells[n]:
+            if n == 0:
+                for kind, table in (("s", raw.s_faces), ("t", raw.t_faces)):
+                    if table.get(c):
+                        problems.append(Problem(
+                            "face_count", c, f"0-cell carries {kind}-faces", (kind,)))
+                continue
+            for kind, table in (("s", raw.s_faces), ("t", raw.t_faces)):
+                faces = table.get(c)
+                if faces is None or len(faces) != n:
+                    got = 0 if faces is None else len(faces)
+                    problems.append(Problem(
+                        "face_count", c,
+                        f"expected {n} {kind}-faces, got {got}", (kind, got)))
+                    continue
+                for k, f in enumerate(faces, start=1):
+                    if not raw.has_cell(f):
+                        problems.append(Problem(
+                            "dangling_face", c,
+                            f"{kind}_{k} references missing cell {f!r}", (kind, k, f)))
+                    elif raw.dim(f) != n - 1:
+                        problems.append(Problem(
+                            "wrong_dimension", c,
+                            f"{kind}_{k} = {f!r} has dimension {raw.dim(f)},"
+                            f" expected {n - 1}", (kind, k, f)))
+    if problems:
+        return ValidationReport(tuple(problems))
+    for n in sorted(raw.cells):
+        if n < 2:
+            continue
+        for c in raw.cells[n]:
+            for l in range(2, n + 1):
+                for k in range(1, l):
+                    for alpha in "st":
+                        for beta in "st":
+                            lhs = raw.face(alpha, k, raw.face(beta, l, c))
+                            rhs = raw.face(beta, l - 1, raw.face(alpha, k, c))
+                            if lhs != rhs:
+                                problems.append(Problem(
+                                    "identity_violation", c,
+                                    f"{alpha}_{k} {beta}_{l} {c} = {lhs!r} but "
+                                    f"{beta}_{l - 1} {alpha}_{k} {c} = {rhs!r}",
+                                    (alpha, k, beta, l)))
+    return ValidationReport(tuple(problems))
+
+
+def _corrupted(P, rng):
+    """``P`` with one seeded corruption of its face tables."""
+    from hdasculpt import PrecubicalSet
+    s = {c: list(fs) for c, fs in P.s_faces.items()}
+    t = {c: list(fs) for c, fs in P.t_faces.items()}
+    top = [c for n in sorted(P.cells) if n >= 1 for c in P.cells[n]]
+    c = rng.choice(top)
+    n = P.dim(c)
+    table = rng.choice((s, t))
+    k = rng.randrange(n)
+    how = rng.choice(("swap", "swap_tables", "dangling", "wrong_dim",
+                      "same_dim", "drop", "vertex_faces"))
+    if how == "swap" and n > 1:
+        j = rng.randrange(n)
+        table[c][k], table[c][j] = table[c][j], table[c][k]
+    elif how == "swap_tables":
+        s[c], t[c] = t[c], s[c]
+    elif how == "dangling":
+        table[c][k] = "nowhere"
+    elif how == "wrong_dim":
+        table[c][k] = rng.choice([x for x in P.all_cells() if P.dim(x) != n - 1])
+    elif how == "same_dim":   # right dimension, so an identity may break
+        table[c][k] = rng.choice(P.grade(n - 1))
+    elif how == "drop":
+        del table[c][k]
+    else:
+        table[rng.choice(P.grade(0))] = [c]
+    return PrecubicalSet(dict(P.cells), {c: tuple(fs) for c, fs in s.items()},
+                         {c: tuple(fs) for c, fs in t.items()})
+
+
+def test_validation_reports_equal_the_accessor_version():
+    import random
+
+    from hdasculpt import make_grid
+    rng = random.Random(3)
+    bases = [make_bulk(3).base, make_bulk(4).base, make_grid(3, 2).base,
+             make_grid(2, 2, 2).base, corpus.wheel().base, corpus.matchbox().base]
+    kinds = set()
+    for P in bases:
+        assert validate_precubical(P) == _reference_validate(P)
+        for _ in range(60):
+            bad = _corrupted(P, rng)
+            report = validate_precubical(bad)
+            assert report == _reference_validate(bad)
+            kinds.update(p.kind for p in report.problems)
+    assert kinds == {"face_count", "dangling_face", "wrong_dimension",
+                     "identity_violation"}
