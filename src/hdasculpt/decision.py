@@ -13,7 +13,6 @@ matched events along homotopy pairs, backtracking on clashes.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -222,9 +221,12 @@ class _Quotient:
     rewrites only the keys it changes and hands back the list that undoes
     it.  The configurations are held flat, cell by cell in covering order,
     with each cell's slice.  The index of the configurations starting each
-    event, the events each event is started together with, and the owner
-    of each key are built by ``index``, which a search calls before its
-    first merge: a search that never merges needs none of them.
+    event, the events each event is started together with, the owner of
+    each key, and per cell the number of distinct keys it ``held``, with
+    the number of cells that hold more than one (``split``: clause 2 fails
+    exactly when it is nonzero), are built by ``index``, which a search
+    calls before its first merge: a search that never merges needs none of
+    them.
     """
 
     def __init__(self, covering: Covering):
@@ -239,6 +241,8 @@ class _Quotient:
         self.starting: list[list[int]] = []
         self.cooccur: list[int] = []   # event -> the bits of the events started with it
         self.owner: dict[tuple[int, int], str] = {}
+        self.held: dict[str, int] = {}
+        self.split = 0
 
     def cell_keys(self):
         """(cell, that cell's keys) per cell, in covering order."""
@@ -260,8 +264,10 @@ class _Quotient:
                 cooccur[e] |= s
                 rest ^= low
         clash = _clash(self.cell_keys())
-        if clash is None:
+        if clash is None:   # a cell's configurations have distinct masks
             self.owner = dict(zip(self.keys, self.cells))
+            self.held = {cell: at.stop - at.start for cell, at in self.span.items()}
+            self.split = sum(n > 1 for n in self.held.values())
         return clash
 
     def merge(self, part: Sequence[int], lo: int, hi: int):
@@ -271,9 +277,10 @@ class _Quotient:
         that start one of its events.  Returns (the undo list, None), or,
         once a rewritten key is another cell's, (None, that clash as
         ``_clash`` gives it) after undoing itself.  Every configuration on a
-        key holding ``hi`` moves here, so the old key is dropped.
+        key holding ``hi`` moves here, so the old key is dropped, once.
         """
         keys, cells, owner, starting = self.keys, self.cells, self.owner, self.starting
+        held = self.held
         hb, lb = 1 << hi, 1 << lo
         moved = []
         for e in range(hi, len(part)):   # a class's events follow its index
@@ -291,18 +298,28 @@ class _Quotient:
                 elif first != cell:
                     self.undo(moved)
                     return None, (first, cell, new)
-                owner.pop(old, None)
+                dropped = owner.pop(old, None) is not None
+                change = (first is None) - dropped
+                if change:   # the cell holds one key more, or one fewer
+                    n = held[cell]
+                    held[cell] = n + change
+                    self.split += (n + change > 1) - (n > 1)
                 keys[j] = new
-                moved.append((j, old, new, first is None))
+                moved.append((j, old, new, first is None, dropped))
         return moved, None
 
     def undo(self, moved) -> None:
-        keys, cells, owner = self.keys, self.cells, self.owner
-        for j, old, new, fresh in reversed(moved):
+        keys, cells, owner, held = self.keys, self.cells, self.owner, self.held
+        for j, old, new, fresh, dropped in reversed(moved):
             keys[j] = old
-            owner[old] = cells[j]
+            cell = owner[old] = cells[j]
             if fresh:
                 del owner[new]
+            change = dropped - fresh
+            if change:
+                n = held[cell]
+                held[cell] = n + change
+                self.split += (n + change > 1) - (n > 1)
 
 
 def _linear_extension(gens, part: Sequence[int]) -> dict[int, int] | None:
@@ -486,9 +503,10 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
     classes with every later label a singleton, and every partition below it
     is a coarsening of that; so once two distinct cells share a quotient
     configuration the whole subtree is skipped.  Assigning a label to a
-    class is one merge on the quotient state, undone on backtrack.  Each
-    leaf gets the full proper check, so the partition returned is the first
-    proper one in the enumeration.  ``nodes_explored`` counts the prefixes
+    class is one merge on the quotient state, undone on backtrack.  A leaf
+    is proper when no cell holds two keys and the quotient order is
+    acyclic, so the partition returned is the first proper one in the
+    enumeration.  ``nodes_explored`` counts the prefixes
     checked, not the partitions.
     """
     if covering is None:
@@ -506,8 +524,11 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
     def extend(i: int):
         nonlocal nodes
         if i == m:
+            # every merge was checked for a clash, so clause 3 holds here
+            if state.split or _linear_extension(covering.gens, part) is None:
+                return None
             sculpture = _proper(h, covering, tuple(part), state.cell_keys())[0]
-            return None if sculpture is None else (tuple(part), sculpture)
+            return tuple(part), sculpture
         for first in firsts:
             nodes += 1
             undo, clash = state.merge(part, first, i)
@@ -547,16 +568,21 @@ def _length_mismatch(h: Hda, covering: Covering):
 
 
 def _homotopy_pair(h: Hda, covering: Covering, cell: str,
-                   keys: Sequence[tuple[int, int]], normal: dict):
+                   keys: Sequence[tuple[int, int]], normal: dict,
+                   position: Mapping[str, int]):
     """Two matched-length event sequences witnessing a conflict at ``cell``.
 
     Takes one witness per distinct quotient configuration, normalizes each
-    to its sequential form, strips shared prefixes and tails pairwise so the
-    pair spans exactly the divergence, and returns the shortest suffix pair
-    (ties broken lexicographically on labels) together with the states the
-    two routes pass through.  ``normal`` caches the normal forms by (cell,
-    mask) and each pair's divergence by (cell, mask, mask), since neither
-    depends on the partition.
+    to its sequential form, pairs the first (in covering order) with each
+    other one, strips shared prefixes and tails so the pair spans exactly
+    the divergence, and returns the shortest suffix pair together with the
+    states the two routes pass through.  Ties are broken on the positions
+    of the edges' labels in ``ue.reps`` (``position``), then on the edges'
+    declaration order, so cell names never decide.  Any two distinct
+    configurations at a state must be reconciled, so pairing with the first
+    changes only which conflict is repaired first.  ``normal`` caches the
+    normal forms by (cell, mask) and each pair's divergence by (cell, mask,
+    mask), since neither depends on the partition.
     """
     by_quotient: dict[tuple[int, int], tuple[int, int]] = {}
     for mask, key in zip(covering.masks[cell], keys):
@@ -564,8 +590,10 @@ def _homotopy_pair(h: Hda, covering: Covering, cell: str,
     for mask in by_quotient.values():
         if (cell, mask) not in normal:
             normal[cell, mask] = normalize_path(h, covering._route(cell, mask))
+    declared = h.base.declaration_index
+    ma, *others = by_quotient.values()
     best = None
-    for ma, mb in itertools.combinations(by_quotient.values(), 2):
+    for mb in others:
         pair = normal.get((cell, ma, mb))
         if pair is None:
             pa, pb = normal[cell, ma], normal[cell, mb]
@@ -590,10 +618,12 @@ def _homotopy_pair(h: Hda, covering: Covering, cell: str,
                         if s.direction == "t"]
             states_b = [s.target for s in pb.steps[common:len(pb.steps) - tail]
                         if s.direction == "t"]
-            labels_a = tuple(covering.ue.label(e) for e in edges_a)
-            labels_b = tuple(covering.ue.label(e) for e in edges_b)
-            key = (len(edges_a), labels_a, labels_b, tuple(edges_a), tuple(edges_b))
-            alt = (len(edges_a), labels_b, labels_a, tuple(edges_b), tuple(edges_a))
+            labels_a = tuple(map(position.__getitem__, edges_a))
+            labels_b = tuple(map(position.__getitem__, edges_b))
+            order_a = tuple(map(declared, edges_a))
+            order_b = tuple(map(declared, edges_b))
+            key = (len(edges_a), labels_a, labels_b, order_a, order_b)
+            alt = (len(edges_a), labels_b, labels_a, order_b, order_a)
             if alt < key:
                 key = alt
                 edges_a, edges_b = edges_b, edges_a
@@ -784,7 +814,7 @@ def repair_search(h: Hda, covering: Covering | None = None,
             if parts[-1] != part:
                 yield parts[-1]
 
-    index = {r: i for i, r in enumerate(ue.reps)}
+    position: dict[str, int] = {}   # edge -> its label's place in ue.reps
     normal: dict = {}   # normal forms and pair divergences, see _homotopy_pair
     # the stack holds, per expanded node, the generator of its children; the
     # first is the discrete partition
@@ -818,21 +848,25 @@ def repair_search(h: Hda, covering: Covering | None = None,
 
         def conflicts():
             nonlocal root_clash
+            held, span = state.held, state.span
             for cell in h.grade(0):
-                keys = state.keys[state.span[cell]]
-                if len(set(keys)) > 1:
+                # until the root is indexed, a cell holds each of its masks
+                at = span[cell]
+                if (held[cell] if held else at.stop - at.start) > 1:
                     if not pairs:   # the node's first conflict: build its tables
                         if nodes == 1:   # the first merge is near: index the root
                             root_clash = state.index()
                             if root_clash is not None:
                                 return   # and every partition coarsens it
+                            index = {r: i for i, r in enumerate(ue.reps)}
+                            position.update((e, index[r]) for e, r in ue.rep.items())
                         cooccur = state.cooccur
                         for i, c in enumerate(part):
                             members[c] = members.get(c, 0) | 1 << i
                             meets[c] = meets.get(c, 0) | cooccur[i]
                     edges_a, edges_b, states_a, states_b = _homotopy_pair(
-                        h, covering, cell, keys, normal)
-                    pairs.append([[index[ue.label(e)] for e in edges]
+                        h, covering, cell, state.keys[at], normal, position)
+                    pairs.append([[position[e] for e in edges]
                                   for edges in (edges_a, edges_b)])
                     yield len(edges_a), (
                         *(tuple(part[i] for i in events) for events in pairs[-1]),
@@ -843,6 +877,8 @@ def repair_search(h: Hda, covering: Covering | None = None,
             return Verdict(False, witness=_clash_witness(ue, root_clash),
                            nodes_explored=nodes)
         if not pairs:
+            if state.split:
+                continue   # clause 2 fails, and only a clash is kept
             sculpture, violation = _proper(h, covering, part, state.cell_keys())
             if sculpture is not None:
                 return Verdict(True, partition=classes_by_label(ue.reps, part),

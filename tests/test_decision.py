@@ -192,15 +192,18 @@ def test_covering_equals_a_plain_stconfig_reference():
 
 
 @pytest.mark.parametrize("name, built", [
-    ("grid6x6x6", 0), ("two_mutex", 1), ("broken_box", 1)])
+    ("grid6x6x6", 0), ("two_mutex", 1), ("broken_box", 1), ("random111", 0)])
 def test_decide_builds_stconfigs_only_for_witnesses(monkeypatch, name, built):
     # the covering and both searches run on bitmasks; an StConfig is built
-    # only for a violation or witness that is returned or kept
+    # only for a violation or witness that is returned or kept.  random111
+    # falls back to the oracle, whose 3,929 leaves each fail clause 2
     from hdasculpt import make_grid, parse_pv, pv_to_complex
+    from hdasculpt.randgen import random_hda_batch
     h = {"grid6x6x6": lambda: make_grid(6, 6, 6),
          "two_mutex": lambda: pv_to_complex(
              parse_pv("P(a) P(b) V(b) V(a)\nP(b) P(a) V(a) V(b)\n")).hda,
-         "broken_box": corpus.broken_box}[name]()
+         "broken_box": corpus.broken_box,
+         "random111": lambda: random_hda_batch(7, 300, max_events=10)[111]}[name]()
     made = []
     post_init = StConfig.__post_init__
 
@@ -509,6 +512,38 @@ def test_branch_and_bound_prunes_the_batch_oracle_fallback():
     assert v.nodes_explored == 10_712
 
 
+def _renamed(h, rng):
+    """``h`` with every cell given a fresh random name, in declaration order."""
+    from hdasculpt import hda_from_json, hda_to_json
+    data = hda_to_json(h)
+    cells = [c for cs in data["cells"].values() for c in cs]
+    name = dict(zip(cells, (f"c{n}" for n in rng.sample(range(10 ** 6), len(cells)))))
+    faces = {kind: {name[c]: [name[f] for f in fs] for c, fs in data[kind].items()}
+             for kind in ("s", "t")}
+    return hda_from_json({"cells": {n: [name[c] for c in cs]
+                                    for n, cs in data["cells"].items()},
+                          **faces, "initial": name[data["initial"]]})
+
+
+def test_renaming_cells_never_changes_the_decision():
+    # the repair search breaks ties on label positions and declaration
+    # order, never on names: three seeded renamings of each instance keep
+    # the answer, the witness kind and the node count (a tie-break on names
+    # turns instances 82, 111 and 191 between label_clash and exhausted)
+    import random
+
+    from hdasculpt.randgen import random_hda_batch
+
+    def outcome(v):
+        return v.sculptable, v.witness and v.witness.kind, v.nodes_explored
+
+    for i, h in enumerate(random_hda_batch(7, 300, max_events=10)):
+        want = outcome(decide_sculptable(h))
+        for r in range(3):
+            assert outcome(decide_sculptable(
+                _renamed(h, random.Random(1000 * i + r)))) == want, (i, r)
+
+
 def test_partition_from_rgs():
     ue = universal_events(corpus.empty_square().base)
     part = classes_by_label(ue.reps, (0, 1, 0, 1))
@@ -652,7 +687,10 @@ def test_linear_extension_masks_equal_the_transitive_closure(kernel_cases):
 def test_quotient_state_tracks_the_class_bit_table(kernel_cases, data):
     # random merge sequences on one state: after each merge the keys are
     # those the class-bit table gives, a merge clashes exactly when two
-    # distinct cells then share a key, and undoing restores keys and owners
+    # distinct cells then share a key, and undoing restores keys and owners;
+    # after every merge, refused merge and undo, each cell's count is the
+    # number of its distinct keys, and the split count that of the cells
+    # holding more than one
     from hdasculpt.decision import _cell_keys, _clash, _class_bits, _Quotient
     h, cov = data.draw(hst.sampled_from(kernel_cases))
     m = len(cov.ue.reps)
@@ -661,22 +699,46 @@ def test_quotient_state_tracks_the_class_bit_table(kernel_cases, data):
     assert clash == _clash(cov.masks.items())
     if clash is not None or m < 2:
         return
-    merges = data.draw(hst.lists(hst.tuples(hst.integers(0, m - 1),
-                                            hst.integers(0, m - 1)), max_size=m))
+
+    def snapshot():
+        return list(state.keys), dict(state.owner), dict(state.held), state.split
+
+    def assert_counts():
+        held = {c: len(set(keys)) for c, keys in state.cell_keys()}
+        assert state.held == held
+        assert state.split == sum(n > 1 for n in held.values())
+
+    def differing(s1, s2):
+        return data.draw(hst.sampled_from(
+            [c for c in range(m) if s1 >> c & 1 and not s2 >> c & 1] or [0]))
+
+    assert_counts()
     part, trail = tuple(range(m)), []
-    for a, b in merges:
+    for _ in range(data.draw(hst.integers(0, 2 * m))):
+        split = [sorted(set(keys)) for _, keys in state.cell_keys()
+                 if len(set(keys)) > 1]
+        if split:
+            # merge a class of one of a split cell's keys with one of
+            # another's, as a repair does: this is how two configurations
+            # of one cell come to share a key and then move together
+            (s1, _), (s2, _) = data.draw(hst.permutations(
+                data.draw(hst.sampled_from(split))))[:2]
+            a, b = differing(s1, s2), differing(s2, s1)
+        else:
+            a, b = data.draw(hst.integers(0, m - 1)), data.draw(hst.integers(0, m - 1))
         lo, hi = sorted((part[a], part[b]))
         if lo == hi:
             continue
         child = tuple(lo if c == hi else c for c in part)
         table = _class_bits(child)
         want = [(c, _cell_keys(ms, table)) for c, ms in cov.masks.items()]
-        before = list(state.keys), dict(state.owner)
+        before = snapshot()
         undo, clash = state.merge(part, lo, hi)
         assert (clash is None) == (_clash(want) is None)
+        assert_counts()
         if clash is not None:
             assert clash[0] != clash[1]
-            assert (state.keys, state.owner) == before
+            assert snapshot() == before
             continue
         assert list(state.cell_keys()) == want
         assert state.owner == dict(zip(state.keys, state.cells))
@@ -684,7 +746,8 @@ def test_quotient_state_tracks_the_class_bit_table(kernel_cases, data):
         part = child
     for undo, before in reversed(trail):
         state.undo(undo)
-        assert (state.keys, state.owner) == before
+        assert_counts()
+        assert snapshot() == before
 
 
 def _fewest_by_listing(conflicts):
