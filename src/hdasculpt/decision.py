@@ -570,19 +570,20 @@ def _length_mismatch(h: Hda, covering: Covering):
 def _homotopy_pair(h: Hda, covering: Covering, cell: str,
                    keys: Sequence[tuple[int, int]], normal: dict,
                    position: Mapping[str, int]):
-    """Two matched-length event sequences witnessing a conflict at ``cell``.
+    """Two matched-length event sequences witnessing a conflict at ``cell``,
+    as the positions of their labels in ``ue.reps`` (``position``).
 
     Takes one witness per distinct quotient configuration, normalizes each
     to its sequential form, pairs the first (in covering order) with each
     other one, strips shared prefixes and tails so the pair spans exactly
     the divergence, and returns the shortest suffix pair together with the
-    states the two routes pass through.  Ties are broken on the positions
-    of the edges' labels in ``ue.reps`` (``position``), then on the edges'
-    declaration order, so cell names never decide.  Any two distinct
-    configurations at a state must be reconciled, so pairing with the first
-    changes only which conflict is repaired first.  ``normal`` caches the
-    normal forms by (cell, mask) and each pair's divergence by (cell, mask,
-    mask), since neither depends on the partition.
+    states the two routes pass through.  Ties are broken on the label
+    positions, then on the edges' declaration order, so cell names never
+    decide.  Any two distinct configurations at a state must be reconciled,
+    so pairing with the first changes only which conflict is repaired
+    first.  ``normal`` caches the normal forms by (cell, mask) and each
+    pair's divergence by (cell, mask, mask), since neither depends on the
+    partition.
     """
     by_quotient: dict[tuple[int, int], tuple[int, int]] = {}
     for mask, key in zip(covering.masks[cell], keys):
@@ -626,12 +627,12 @@ def _homotopy_pair(h: Hda, covering: Covering, cell: str,
             alt = (len(edges_a), labels_b, labels_a, order_b, order_a)
             if alt < key:
                 key = alt
-                edges_a, edges_b = edges_b, edges_a
                 states_a, states_b = states_b, states_a
-            pair = normal[cell, ma, mb] = (key, edges_a, edges_b, states_a, states_b)
+            pair = normal[cell, ma, mb] = (key, states_a, states_b)
         if best is None or pair[0] < best[0]:
             best = pair
-    return best[1:]
+    (_, labels_a, labels_b, _, _), states_a, states_b = best
+    return labels_a, labels_b, states_a, states_b
 
 
 def _matching_table(labels_a, labels_b, compatible, diverged=None):
@@ -864,11 +865,10 @@ def repair_search(h: Hda, covering: Covering | None = None,
                         for i, c in enumerate(part):
                             members[c] = members.get(c, 0) | 1 << i
                             meets[c] = meets.get(c, 0) | cooccur[i]
-                    edges_a, edges_b, states_a, states_b = _homotopy_pair(
+                    labels_a, labels_b, states_a, states_b = _homotopy_pair(
                         h, covering, cell, state.keys[at], normal, position)
-                    pairs.append([[position[e] for e in edges]
-                                  for edges in (edges_a, edges_b)])
-                    yield len(edges_a), (
+                    pairs.append((labels_a, labels_b))
+                    yield len(labels_a), (
                         *(tuple(part[i] for i in events) for events in pairs[-1]),
                         compatible, [sa != sb for sa, sb in zip(states_a, states_b)])
 
