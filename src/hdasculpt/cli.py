@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_search_flags(p):
-        p.add_argument("--max-events", type=int, default=10,
+        p.add_argument("--max-events", type=int, default=12,
                        help="exhaustive-search bound on universal events")
         p.add_argument("--node-budget", type=int, default=10 ** 6,
                        help="repair-search node budget")

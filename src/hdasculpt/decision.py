@@ -85,17 +85,23 @@ def path_covering(h: Hda, ue: UniversalEvents | None = None) -> Covering:
     ok, witness = has_non_repeating_events(h, ue)
     if not ok:
         raise RepeatingEventsError("a sequential path repeats an event", witness)
-    acyclic, pair = is_acyclic(h)
-    if not acyclic:
-        raise CyclicError(f"cells {pair[0]!r} and {pair[1]!r} lie on a cycle", pair)
-    return _covering(h, ue)
+    try:
+        return _covering(h, ue)
+    except RepeatingEventsError:   # every cyclic automaton lands here
+        acyclic, pair = is_acyclic(h)
+        if not acyclic:
+            raise CyclicError(f"cells {pair[0]!r} and {pair[1]!r} lie on a cycle",
+                              pair) from None
+        raise
 
 
 def _covering(h: Hda, ue: UniversalEvents) -> Covering:
     """``path_covering`` for an automaton whose preconditions already hold.
 
     Each move from a (cell, started, terminated) key is tried in a fixed
-    order: s-steps by coface, then t-steps for k = 1..dim.
+    order: s-steps by coface, then t-steps for k = 1..dim.  Every reachable
+    key is expanded, and going round a step cycle twice restarts its
+    events, so on a cyclic automaton this raises ``RepeatingEventsError``.
     """
     index = {r: i for i, r in enumerate(ue.reps)}
     bits = _event_bits(h.base, ue, index)
@@ -495,7 +501,7 @@ class Verdict:
 
 
 def brute_force_search(h: Hda, covering: Covering | None = None,
-                       max_events: int = 10) -> Verdict:
+                       max_events: int = 12) -> Verdict:
     """Depth-first branch and bound over the partitions of the universal labels.
 
     Partitions are restricted growth strings in lexicographic order (Knuth,
@@ -503,11 +509,15 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
     classes with every later label a singleton, and every partition below it
     is a coarsening of that; so once two distinct cells share a quotient
     configuration the whole subtree is skipped.  Assigning a label to a
-    class is one merge on the quotient state, undone on backtrack.  A leaf
-    is proper when no cell holds two keys and the quotient order is
+    class is one merge on the quotient state, undone on backtrack.  That
+    merge rewrites only the keys of the configurations starting the label,
+    so a configuration's key is final once its last label is assigned; once
+    it differs from its cell's anchor (the configuration whose last label
+    comes first), that cell keeps two keys at every leaf below, and the
+    subtree is skipped too.  A leaf is proper when its quotient order is
     acyclic, so the partition returned is the first proper one in the
-    enumeration.  ``nodes_explored`` counts the prefixes
-    checked, not the partitions.
+    enumeration.  ``nodes_explored`` counts the prefixes checked, not the
+    partitions.
     """
     if covering is None:
         covering = path_covering(h)
@@ -517,15 +527,28 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
         raise ResourceLimitError(
             f"{m} universal events exceeds the exhaustive-search bound {max_events}")
     state = _Quotient(covering)
+    keys = state.keys
+    # final[i]: (configuration, its cell's anchor) for each configuration
+    # other than an anchor whose last label is i - 1; both keys are final
+    # from depth i on
+    final: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
+    for at in state.span.values():
+        anchor = min(range(at.start, at.stop), key=lambda j: keys[j][0].bit_length())
+        for j in range(at.start, at.stop):
+            if j != anchor:
+                final[keys[j][0].bit_length()].append((j, anchor))
     part = list(range(m))   # the prefix's classes, later labels singletons
     firsts = [0] if m else []   # the earliest label of each class, by digit
     nodes = 1
 
     def extend(i: int):
         nonlocal nodes
+        if any(keys[j] != keys[a] for j, a in final[i]):
+            return None   # a cell keeps two keys at every leaf below
         if i == m:
-            # every merge was checked for a clash, so clause 3 holds here
-            if state.split or _linear_extension(covering.gens, part) is None:
+            # every merge was checked for a clash, and every cell keeps one
+            # key, so clauses 2 and 3 hold here
+            if _linear_extension(covering.gens, part) is None:
                 return None
             sculpture = _proper(h, covering, tuple(part), state.cell_keys())[0]
             return tuple(part), sculpture
@@ -773,7 +796,7 @@ def repair_search(h: Hda, covering: Covering | None = None,
     if mismatch is not None:
         return Verdict(False, witness=mismatch)
 
-    state = _Quotient(covering)
+    state = None   # built at the root's first conflict
     root_clash = first_clash = None
     nodes = pruned = 0
 
@@ -848,14 +871,14 @@ def repair_search(h: Hda, covering: Covering | None = None,
         pairs = []
 
         def conflicts():
-            nonlocal root_clash
-            held, span = state.held, state.span
+            nonlocal root_clash, state
             for cell in h.grade(0):
-                # until the root is indexed, a cell holds each of its masks
-                at = span[cell]
-                if (held[cell] if held else at.stop - at.start) > 1:
+                # until the state is built, a cell holds each of its masks
+                if (len(covering.masks[cell]) if state is None
+                        else state.held[cell]) > 1:
                     if not pairs:   # the node's first conflict: build its tables
-                        if nodes == 1:   # the first merge is near: index the root
+                        if state is None:   # the first merge is near: index the root
+                            state = _Quotient(covering)
                             root_clash = state.index()
                             if root_clash is not None:
                                 return   # and every partition coarsens it
@@ -866,7 +889,8 @@ def repair_search(h: Hda, covering: Covering | None = None,
                             members[c] = members.get(c, 0) | 1 << i
                             meets[c] = meets.get(c, 0) | cooccur[i]
                     labels_a, labels_b, states_a, states_b = _homotopy_pair(
-                        h, covering, cell, state.keys[at], normal, position)
+                        h, covering, cell, state.keys[state.span[cell]], normal,
+                        position)
                     pairs.append((labels_a, labels_b))
                     yield len(labels_a), (
                         *(tuple(part[i] for i in events) for events in pairs[-1]),
@@ -877,9 +901,13 @@ def repair_search(h: Hda, covering: Covering | None = None,
             return Verdict(False, witness=_clash_witness(ue, root_clash),
                            nodes_explored=nodes)
         if not pairs:
-            if state.split:
+            if state is None:   # a conflict-free root: its keys are the masks
+                cell_keys = covering.masks.items()
+            elif state.split:
                 continue   # clause 2 fails, and only a clash is kept
-            sculpture, violation = _proper(h, covering, part, state.cell_keys())
+            else:
+                cell_keys = state.cell_keys()
+            sculpture, violation = _proper(h, covering, part, cell_keys)
             if sculpture is not None:
                 return Verdict(True, partition=classes_by_label(ue.reps, part),
                                sculpture=sculpture, nodes_explored=nodes, ue=ue)
@@ -906,13 +934,14 @@ def repair_search(h: Hda, covering: Covering | None = None,
 # Full decision pipeline
 
 
-def decide_sculptable(h: Hda, oracle: bool = False, max_events: int = 10,
+def decide_sculptable(h: Hda, oracle: bool = False, max_events: int = 12,
                       node_budget: int = 10 ** 6) -> Verdict:
     """Decide whether ``h`` embeds into some bulk, with a certificate.
 
-    Pipeline: structural validation, connectivity, orderedness,
-    non-repeating events and acyclicity, each checked once, then the path
-    covering feeding either the repair search or (with ``oracle``) the
+    Pipeline: structural validation, connectivity, orderedness and
+    non-repeating events, each checked once, then the path covering, which
+    fails on every cyclic automaton (only then is acyclicity checked, for
+    the witness), feeding either the repair search or (with ``oracle``) the
     exhaustive one.  Positive verdicts carry a validated sculpture; an
     exhausted repair search is cross-checked exhaustively when small enough
     and flagged heuristic otherwise.
@@ -929,12 +958,13 @@ def decide_sculptable(h: Hda, oracle: bool = False, max_events: int = 10,
     ok, path = has_non_repeating_events(h, ue)
     if not ok:
         return Verdict(False, witness=Witness("repeating_events", path=path))
-    acyclic, pair = is_acyclic(h)
-    if not acyclic:
-        return Verdict(False, witness=Witness("cyclic", cells=tuple(pair)))
     try:
         covering = _covering(h, ue)
-    except RepeatingEventsError as exc:   # an event restarted through a higher cell
+    except RepeatingEventsError as exc:
+        # a step cycle, or an event restarted through a higher cell
+        acyclic, pair = is_acyclic(h)
+        if not acyclic:
+            return Verdict(False, witness=Witness("cyclic", cells=tuple(pair)))
         return Verdict(False, witness=Witness("repeating_events", path=exc.path))
     if oracle:
         verdict = brute_force_search(h, covering, max_events=max_events)

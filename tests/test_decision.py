@@ -62,6 +62,31 @@ def test_covering_requires_the_preconditions():
         path_covering(detached)
 
 
+def test_the_covering_fails_on_every_cyclic_automaton():
+    # going round a step cycle twice restarts its events, so the covering
+    # raises on every connected cyclic automaton, and the decision checks
+    # acyclicity only then: ab_loop, and random complexes with a vertex
+    # merged into one it reaches
+    import random
+
+    from hdasculpt.decision import _covering
+    from hdasculpt.precubical import is_acyclic, validate_hda
+    from hdasculpt.randgen import _merge_vertices, _random_complex_hda
+    rng = random.Random(2026)
+    cases = [corpus.ab_loop()]
+    while len(cases) < 200:
+        h = _random_complex_hda(rng)
+        order = sorted(transitive_closure((h.s(e, 1), h.t(e, 1)) for e in h.grade(1)))
+        if order:
+            h = _merge_vertices(h, *order[rng.randrange(len(order))])
+            if validate_hda(h).ok and is_connected(h) and not is_acyclic(h)[0]:
+                cases.append(h)
+    for h in cases:
+        with pytest.raises(RepeatingEventsError):
+            _covering(h, universal_events(h.base))
+        assert decide_sculptable(h).witness.kind in ("repeating_events", "cyclic")
+
+
 def test_covering_witnesses_are_legal_and_agree_with_configs():
     for build in (corpus.empty_square, corpus.matchbox, corpus.backtracker):
         h = build()
@@ -501,15 +526,64 @@ def test_a_clash_persists_under_every_coarsening(clash_cases, data):
     assert not check_proper(h, coarse, cov)[0]
 
 
+@settings(max_examples=150, deadline=None)
+@given(hst.data())
+def test_a_final_split_persists_under_every_completion(clash_cases, data):
+    # two distinct keys of one cell whose configurations start only the
+    # first i labels stay distinct under every partition that agrees with
+    # the first on those labels, so that cell keeps two keys and no such
+    # partition is proper
+    from hdasculpt.decision import _cell_keys, _class_bits
+    from hdasculpt.events import class_indices
+    h, cov = data.draw(hst.sampled_from(
+        [(h, cov) for h, cov in clash_cases if max(map(len, cov.masks.values())) > 1]))
+    reps = cov.ue.reps
+    i = data.draw(hst.integers(0, len(reps)))
+    labels = data.draw(hst.lists(hst.integers(0, len(reps) - 1),
+                                 min_size=len(reps), max_size=len(reps)))
+    rest = data.draw(hst.lists(hst.integers(0, len(reps) - 1),
+                               min_size=len(reps) - i, max_size=len(reps) - i))
+
+    def grouped(labels):
+        groups = {}
+        for r, lab in zip(reps, labels):
+            groups.setdefault(lab, []).append(r)
+        partition = partition_of(cov.ue, groups.values())
+        return partition, _class_bits(class_indices(reps, partition))
+
+    _, fine = grouped(labels)
+    other, table = grouped(labels[:i] + rest)
+    for ms in cov.masks.values():
+        early = [mask for mask in ms if mask[0] < 1 << i]
+        before, after = _cell_keys(early, fine), _cell_keys(early, table)
+        if len(set(before)) > 1:
+            assert all(after[a] != after[b] for a in range(len(early))
+                       for b in range(a) if before[a] != before[b])
+            assert not check_proper(h, other, cov)[0]
+
+
 def test_branch_and_bound_prunes_the_batch_oracle_fallback():
     # instance 111 is the one the repair search leaves exhausted; plain
-    # enumeration checks all 115,975 partitions of its 10 events
+    # enumeration checks all 115,975 partitions of its 10 events, pruning
+    # on shared keys alone 10,712 prefixes
     from hdasculpt.randgen import random_hda_batch
     h = random_hda_batch(7, 300, max_events=10)[111]
     assert len(universal_events(h.base).reps) == 10
     v = brute_force_search(h)
     assert not v.sculptable and v.witness.kind == "exhausted"
-    assert v.nodes_explored == 10_712
+    assert v.nodes_explored == 44
+    assert v.witness.summary == "no proper identification; 44 prefixes checked"
+
+
+def test_branch_and_bound_decides_sixteen_events():
+    # plain enumeration has 10,480,142,147 partitions here, and pruning on
+    # shared keys alone checks 16,061,829 prefixes
+    from hdasculpt.randgen import random_hda_batch
+    h = random_hda_batch(2, 300, max_events=16)[64]
+    assert len(universal_events(h.base).reps) == 16
+    v = brute_force_search(h, max_events=16)
+    assert not v.sculptable and v.witness.kind == "exhausted"
+    assert v.nodes_explored == 4_738
 
 
 def _renamed(h, rng):
@@ -1002,13 +1076,14 @@ def test_universal_events_are_built_once_per_verdict(monkeypatch):
 
 def test_search_free_automata_never_index_the_quotient(monkeypatch):
     # the grids and conflict-free programs of the benchmark have no conflict
-    # at the root, so the search builds no event index, co-occurrence table
-    # or owner map
+    # at the root, so the search builds no quotient state at all: no flat
+    # keys, event index, co-occurrence table or owner map
     from test_construction import WORKLOADS
 
     from hdasculpt import make_grid, parse_pv, pv_to_complex
     from hdasculpt.decision import _Quotient
     calls = []
+    monkeypatch.setattr(_Quotient, "__init__", lambda self, cov: calls.append(cov))
     monkeypatch.setattr(_Quotient, "index", lambda self: calls.append(self))
     automata = [make_grid(*sizes) for sizes in WORKLOADS.GRID_SIZES]
     automata += [pv_to_complex(parse_pv(WORKLOADS.GRID_PV[name])).hda
