@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import corpus as corpus_mod
@@ -219,7 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()   # so a closed stdout is found here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader is gone, so the output did not reach it: exit 2, and
+        # send what is still buffered to devnull rather than print an error
+        # into the same pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (HdaError, ValueError, OSError, json.JSONDecodeError, KeyError,
             RecursionError) as exc:   # a RecursionError: input too deep to check
         return _error(exc)

@@ -19,13 +19,13 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .bulk import Sculpture, validate_images
-from .errors import (CyclicError, InvalidStructureError, NotConnectedError,
-                     NotProperError, RepeatingEventsError, ResourceLimitError)
+from .errors import (InvalidStructureError, NotConnectedError, NotProperError,
+                     RepeatingEventsError, ResourceLimitError)
 from .events import (EventPartition, UniversalEvents, class_indices,
                      classes_by_label, has_non_repeating_events, is_ordered,
                      partition_to_json, transitive_closure, universal_events)
-from .precubical import (Hda, Path, Step, is_acyclic, is_connected,
-                         normalize_path, validate_hda)
+from .precubical import (Hda, Path, Step, _normal_form, is_connected,
+                         validate_hda)
 from .st_chu import StConfig, StStructure
 
 
@@ -75,33 +75,25 @@ def path_covering(h: Hda, ue: UniversalEvents | None = None) -> Covering:
     Runs a breadth-first fixpoint over (cell, configuration) pairs: an
     s_i-step into q starts the i-th running event of q, a t_i-step out of q
     terminates it.  Homotopic paths agree on their configuration, so the
-    fixpoint covers all rooted paths.  Requires a connected, acyclic
-    automaton with non-repeating events.
+    fixpoint covers all rooted paths.  Requires a connected automaton, and
+    raises ``RepeatingEventsError`` when some rooted path restarts an
+    event, as on every cyclic one.
     """
     if not is_connected(h):
         raise NotConnectedError("automaton is not connected")
-    if ue is None:
-        ue = universal_events(h.base)
-    ok, witness = has_non_repeating_events(h, ue)
-    if not ok:
-        raise RepeatingEventsError("a sequential path repeats an event", witness)
-    try:
-        return _covering(h, ue)
-    except RepeatingEventsError:   # every cyclic automaton lands here
-        acyclic, pair = is_acyclic(h)
-        if not acyclic:
-            raise CyclicError(f"cells {pair[0]!r} and {pair[1]!r} lie on a cycle",
-                              pair) from None
-        raise
+    return _covering(h, ue if ue is not None else universal_events(h.base))
 
 
 def _covering(h: Hda, ue: UniversalEvents) -> Covering:
-    """``path_covering`` for an automaton whose preconditions already hold.
+    """``path_covering`` for an automaton known to be connected.
 
     Each move from a (cell, started, terminated) key is tried in a fixed
     order: s-steps by coface, then t-steps for k = 1..dim.  Every reachable
-    key is expanded, and going round a step cycle twice restarts its
-    events, so on a cyclic automaton this raises ``RepeatingEventsError``.
+    key is expanded, so every sequential rooted path is followed, and going
+    round a step cycle twice restarts its events.  At the first restart
+    this raises ``RepeatingEventsError``, with the witness of
+    ``has_non_repeating_events`` when a sequential path repeats an event,
+    which it does on every cyclic automaton.
     """
     index = {r: i for i, r in enumerate(ue.reps)}
     bits = _event_bits(h.base, ue, index)
@@ -118,6 +110,10 @@ def _covering(h: Hda, ue: UniversalEvents) -> Covering:
         for k, up in cofaces[cell]:
             b = bits[up][k - 1]
             if s & b:
+                ok, path = has_non_repeating_events(h, ue)
+                if not ok:
+                    raise RepeatingEventsError(
+                        "a sequential path repeats an event", path)
                 raise RepeatingEventsError(
                     f"event {ue.reps[b.bit_length() - 1]!r} restarted entering {up!r}",
                     None)
@@ -470,7 +466,7 @@ def _images(events: Sequence[int], keys) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class Witness:
-    kind: str  # repeating_events | cyclic | not_ordered | length_mismatch
+    kind: str  # repeating_events | not_ordered | length_mismatch
     #          # | label_clash | exhausted
     path: Path | None = None
     cycle: tuple[str, ...] = ()
@@ -613,7 +609,7 @@ def _homotopy_pair(h: Hda, covering: Covering, cell: str,
         by_quotient.setdefault(key, mask)
     for mask in by_quotient.values():
         if (cell, mask) not in normal:
-            normal[cell, mask] = normalize_path(h, covering._route(cell, mask))
+            normal[cell, mask] = _normal_form(h, covering._route(cell, mask))
     declared = h.base.declaration_index
     ma, *others = by_quotient.values()
     best = None
@@ -938,9 +934,9 @@ def decide_sculptable(h: Hda, oracle: bool = False, max_events: int = 12,
                       node_budget: int = 10 ** 6) -> Verdict:
     """Decide whether ``h`` embeds into some bulk, with a certificate.
 
-    Pipeline: structural validation, connectivity, orderedness and
-    non-repeating events, each checked once, then the path covering, which
-    fails on every cyclic automaton (only then is acyclicity checked, for
+    Pipeline: structural validation, connectivity and orderedness, each
+    checked once, then the path covering, which fails on every cyclic or
+    repeating automaton (only then are non-repeating events checked, for
     the witness), feeding either the repair search or (with ``oracle``) the
     exhaustive one.  Positive verdicts carry a validated sculpture; an
     exhausted repair search is cross-checked exhaustively when small enough
@@ -955,16 +951,9 @@ def decide_sculptable(h: Hda, oracle: bool = False, max_events: int = 12,
     ordered, cycle = is_ordered(h.base, ue)
     if not ordered:
         return Verdict(False, witness=Witness("not_ordered", cycle=tuple(cycle)))
-    ok, path = has_non_repeating_events(h, ue)
-    if not ok:
-        return Verdict(False, witness=Witness("repeating_events", path=path))
     try:
         covering = _covering(h, ue)
     except RepeatingEventsError as exc:
-        # a step cycle, or an event restarted through a higher cell
-        acyclic, pair = is_acyclic(h)
-        if not acyclic:
-            return Verdict(False, witness=Witness("cyclic", cells=tuple(pair)))
         return Verdict(False, witness=Witness("repeating_events", path=exc.path))
     if oracle:
         verdict = brute_force_search(h, covering, max_events=max_events)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NotConsistentError
-from .precubical import Hda, Path, PrecubicalSet, Step
+from .precubical import (Hda, Path, PrecubicalSet, Step, _sequential_arcs,
+                         _sequential_cycle)
 
 # A partition of universal-event classes, each part a frozenset of class
 # representatives.
@@ -176,61 +177,38 @@ def is_ordered(P, ue: UniversalEvents | None = None):
     base = P.base if isinstance(P, Hda) else P
     if ue is None:
         ue = universal_events(base)
-    for a, b in ue.order:
-        if a == b or (b, a) in ue.order:
-            return False, _find_order_cycle(ue)
-    return True, None
+    # (a, b) and (b, a) in the closure put (a, a) in it too
+    cycle = _find_order_cycle(ue)
+    return cycle is None, cycle
 
 
 # ---------------------------------------------------------------------------
 # Non-repeating events
 
 
-def _sequential_arcs(h: Hda) -> dict[str, tuple[tuple[str, str], ...]]:
-    """state -> ((edge, next_state), ..) for steps up an edge and down again."""
-    arcs: dict[str, list[tuple[str, str]]] = {v: [] for v in h.grade(0)}
-    s_faces, t_faces = h.base.s_faces, h.base.t_faces
-    for e in h.grade(1):
-        v = s_faces[e][0]
-        if v in arcs:
-            arcs[v].append((e, t_faces[e][0]))
-    return {v: tuple(a) for v, a in arcs.items()}
-
-
 def _pumped_repeat_witness(h: Hda, ue, arcs, cycle_states: list[str]) -> Path:
-    """A sequential rooted path repeating a label, built by looping a cycle."""
-    # shortest sequential route from the initial state to the cycle
-    parent: dict[str, tuple[str, str, str] | None] = {h.initial: None}
-    queue = [h.initial]
-    target = next(v for v in cycle_states)
-    while queue and target not in parent:
-        v = queue.pop(0)
+    """A sequential rooted path repeating a label: the shortest sequential
+    route to the cycle's first state, then round the cycle until a label
+    comes back."""
+    target = cycle_states[0]
+    trails: dict = {h.initial: None}   # state -> its trail, see _trail_path
+    queue = deque([h.initial])
+    while target not in trails:
+        v = queue.popleft()
         for e, w in arcs[v]:
-            if w not in parent:
-                parent[w] = (v, e, w)
+            if w not in trails:
+                trails[w] = (e, w, trails[v])
                 queue.append(w)
-    steps: list[Step] = []
-    chain: list[tuple[str, str, str]] = []
-    cur = target
-    while parent[cur] is not None:
-        chain.append(parent[cur])
-        cur = parent[cur][0]
-    for v, e, w in reversed(chain):
-        steps.append(Step("s", 1, e))
-        steps.append(Step("t", 1, w))
+    steps = list(_trail_path(h.initial, trails[target]).steps)
     seen = {ue.label(st.target) for st in steps if st.direction == "s"}
-    pos = cycle_states.index(target)
-    cur = target
-    while True:
-        nxt_state = cycle_states[(pos + 1) % len(cycle_states)]
-        edge = next(e for e, w in arcs[cur] if w == nxt_state)
-        steps.append(Step("s", 1, edge))
-        steps.append(Step("t", 1, nxt_state))
+    n = len(cycle_states)
+    for i in range(n + 1):   # one turn and a step repeats a label at the latest
+        v, w = cycle_states[i % n], cycle_states[(i + 1) % n]
+        edge = next(e for e, x in arcs[v] if x == w)
+        steps += (Step("s", 1, edge), Step("t", 1, w))
         if ue.label(edge) in seen:
             return Path(h.initial, tuple(steps))
         seen.add(ue.label(edge))
-        cur = nxt_state
-        pos += 1
 
 
 def has_non_repeating_events(h: Hda, ue: UniversalEvents | None = None):
@@ -243,7 +221,7 @@ def has_non_repeating_events(h: Hda, ue: UniversalEvents | None = None):
     if ue is None:
         ue = universal_events(h.base)
     arcs = _sequential_arcs(h)
-    cycle = _sequential_cycle(h.initial, arcs)
+    cycle = _sequential_cycle((h.initial,), arcs)
     if cycle is not None:
         return False, _pumped_repeat_witness(h, ue, arcs, cycle)
 
@@ -264,33 +242,6 @@ def has_non_repeating_events(h: Hda, ue: UniversalEvents | None = None):
                 seen_memo.add(key)
                 stack.append((*key, (e, w, trail)))
     return True, None
-
-
-def _sequential_cycle(initial: str, arcs) -> list[str] | None:
-    """The states of the first cycle a depth-first search from ``initial``
-    closes, from the state it re-enters to the last, or None.
-
-    The search is iterative, one arc iterator per state on the current
-    route, so a long chain of states does not nest calls.
-    """
-    on_route = {initial: 0}   # state -> its position on the current route
-    done: set[str] = set()
-    route, work = [initial], [iter(arcs[initial])]
-    while work:
-        for _, w in work[-1]:
-            if w in on_route:
-                return route[on_route[w]:]
-            if w not in done:
-                on_route[w] = len(route)
-                route.append(w)
-                work.append(iter(arcs[w]))
-                break
-        else:
-            work.pop()
-            v = route.pop()
-            del on_route[v]
-            done.add(v)
-    return None
 
 
 def _trail_path(start: str, trail) -> Path:

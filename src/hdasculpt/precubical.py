@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import IllegalPathError, InvalidStructureError, ResourceLimitError
 
@@ -390,65 +390,65 @@ def restrict_to_reachable(h: Hda) -> Hda:
     return Hda(PrecubicalSet(cells, s, t), h.initial)
 
 
-def _strongly_connected_components(succ: Mapping[str, tuple[str, ...]]):
-    """Tarjan, iterative."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    onstack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = 0
-    for root in succ:
-        if root in index:
+def _sequential_arcs(h: Hda) -> dict[str, tuple[tuple[str, str], ...]]:
+    """state -> ((edge, next_state), ..) for steps up an edge and down again."""
+    arcs: dict[str, list[tuple[str, str]]] = {v: [] for v in h.grade(0)}
+    s_faces, t_faces = h.base.s_faces, h.base.t_faces
+    for e in h.grade(1):
+        v = s_faces[e][0]
+        if v in arcs:
+            arcs[v].append((e, t_faces[e][0]))
+    return {v: tuple(a) for v, a in arcs.items()}
+
+
+def _sequential_cycle(roots: Iterable[str], arcs) -> list[str] | None:
+    """The states of the first cycle a depth-first search from each of
+    ``roots`` in turn closes, from the state it re-enters to the last, or
+    None.
+
+    The search is iterative, one arc iterator per state on the current
+    route, so a long chain of states does not nest calls; a state finished
+    from one root is not searched again from a later one.
+    """
+    done: set[str] = set()
+    for root in roots:
+        if root in done:
             continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack.add(root)
+        on_route = {root: 0}   # state -> its position on the current route
+        route, work = [root], [iter(arcs[root])]
         while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
+            for _, w in work[-1]:
+                if w in on_route:
+                    return route[on_route[w]:]
+                if w not in done:
+                    on_route[w] = len(route)
+                    route.append(w)
+                    work.append(iter(arcs[w]))
                     break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
+            else:
+                work.pop()
+                v = route.pop()
+                del on_route[v]
+                done.add(v)
+    return None
 
 
 def is_acyclic(h: Hda):
     """True iff no two distinct cells are mutually step-reachable.
 
-    On failure returns (False, (q, q')) with q, q' in one strongly
-    connected component.
+    Requires the face identities (a valid ``h``).  Then an s-step's source
+    and target have the same bottom vertex, and a t-step's target has its
+    bottom vertex one sequential arc (up an edge and down again) beyond
+    its source's, so the steps have a cycle exactly when the sequential
+    arcs do.  On failure returns (False, (v, e)): a vertex v on the first
+    such cycle found, and the edge e leaving it on that cycle.
     """
-    for comp in _strongly_connected_components(h.base.successors):
-        if len(comp) > 1:
-            comp.sort(key=h.base.declaration_index)
-            return False, (comp[0], comp[1])
-    return True, None
+    arcs = _sequential_arcs(h)
+    cycle = _sequential_cycle(arcs, arcs)
+    if cycle is None:
+        return True, None
+    v, w = cycle[0], cycle[1 % len(cycle)]
+    return False, (v, next(e for e, x in arcs[v] if x == w))
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +587,13 @@ def normalize_path(h: Hda, path: Path) -> Path:
     validate_path(h, path)
     if not is_rooted(h, path):
         raise IllegalPathError("normalize_path expects a rooted path")
+    out = _normal_form(h, path)
+    validate_path(h, out)
+    return out
+
+
+def _normal_form(h: Hda, path: Path) -> Path:
+    """``normalize_path`` for a path already known to be legal and rooted."""
     P = h.base
     steps = list(path.steps)
 
@@ -625,9 +632,7 @@ def normalize_path(h: Hda, path: Path) -> Path:
             chain.append(P.s(chain[-1], j))
         chain.reverse()  # chain[m-1] has dimension m, reached by s_m
         run = [Step("s", m, chain[m - 1]) for m in range(1, n + 1)]
-    out = Path(path.start, tuple(steps[:run_start] + run))
-    validate_path(h, out)
-    return out
+    return Path(path.start, tuple(steps[:run_start] + run))
 
 
 # ---------------------------------------------------------------------------

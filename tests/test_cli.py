@@ -302,14 +302,17 @@ def test_check_too_deep_input_exits_2(tmp_path, capsys):
 
 
 def test_check_a_long_chain(tmp_path, capsys):
-    # 1,500 states in a row: the non-repeating check walks them without
-    # nesting a call per state
-    from hdasculpt import make_grid
+    # 1,500 states in a row: neither the decision nor the walks over the
+    # sequential arcs nest a call per state
+    from hdasculpt import has_non_repeating_events, is_acyclic, make_grid
+    chain = make_grid(1500)
     path = tmp_path / "chain.json"
-    path.write_text(json.dumps(hda_to_json(make_grid(1500))))
+    path.write_text(json.dumps(hda_to_json(chain)))
     code, out = run_cli(capsys, "check", str(path))
     assert code == 0
     assert json.loads(out)["d"] == 1500
+    assert has_non_repeating_events(chain) == (True, None)
+    assert is_acyclic(chain) == (True, None)
 
 
 @pytest.mark.parametrize("command", ["check", "cover"])
@@ -326,3 +329,29 @@ def test_check_and_cover_read_pv_build_output(tmp_path, capsys, command):
     hda_path = tmp_path / "hda.json"
     hda_path.write_text(json.dumps(json.loads(built)["hda"]))
     assert run_cli(capsys, command, str(hda_path)) == (0, out)
+
+
+def test_check_into_a_closed_pipe_exits_2_quietly(tmp_path):
+    # a reader that has gone, as with `check g.json | head -1`: the verdict
+    # never reaches it, which is an error, not "not sculptable"
+    import os
+    import subprocess
+    import sys
+
+    import hdasculpt
+    from hdasculpt import make_grid
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(hda_to_json(make_grid(6, 6))))
+    src = os.path.dirname(os.path.dirname(hdasculpt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hdasculpt.cli", "check", str(path)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b""

@@ -64,11 +64,12 @@ def test_covering_requires_the_preconditions():
 
 def test_the_covering_fails_on_every_cyclic_automaton():
     # going round a step cycle twice restarts its events, so the covering
-    # raises on every connected cyclic automaton, and the decision checks
-    # acyclicity only then: ab_loop, and random complexes with a vertex
-    # merged into one it reaches
+    # raises on every connected cyclic automaton, and only then looks for a
+    # sequential path that repeats an event, which a cycle always gives:
+    # ab_loop, and random complexes with a vertex merged into one it reaches
     import random
 
+    from hdasculpt import has_non_repeating_events
     from hdasculpt.decision import _covering
     from hdasculpt.precubical import is_acyclic, validate_hda
     from hdasculpt.randgen import _merge_vertices, _random_complex_hda
@@ -84,7 +85,9 @@ def test_the_covering_fails_on_every_cyclic_automaton():
     for h in cases:
         with pytest.raises(RepeatingEventsError):
             _covering(h, universal_events(h.base))
-        assert decide_sculptable(h).witness.kind in ("repeating_events", "cyclic")
+        witness = decide_sculptable(h).witness
+        assert witness.kind == "repeating_events"
+        assert witness.path == has_non_repeating_events(h)[1]
 
 
 def test_covering_witnesses_are_legal_and_agree_with_configs():
@@ -367,6 +370,28 @@ def test_repair_detects_the_wheel_clash():
     v = repair_search(corpus.wheel())
     assert not v.sculptable
     assert v.witness.kind == "label_clash"
+
+
+@pytest.mark.parametrize("name", ["broken_box", "speed_game"])
+def test_repair_stops_at_a_clash_of_the_root(name):
+    # an unfilled square glued at the initial state gives the root a
+    # conflict at its far corner, so the search indexes the discrete
+    # partition, whose clash every partition coarsens: one node, and the
+    # fixture's own witness
+    h = corpus.fixture(name).build()
+    i = h.initial
+    arcs = {"g_ip": (i, "gp"), "g_pz": ("gp", "gz"),
+            "g_iq": (i, "gq"), "g_qz": ("gq", "gz")}
+    cells = {n: list(cs) for n, cs in h.base.cells.items()}
+    cells[0] += ["gp", "gq", "gz"]
+    cells[1] += list(arcs)
+    glued = hda(cells, {**h.base.s_faces, **{e: (v,) for e, (v, _) in arcs.items()}},
+                {**h.base.t_faces, **{e: (w,) for e, (_, w) in arcs.items()}}, i)
+    alone = repair_search(h)
+    v = repair_search(glued)
+    assert not v.sculptable and v.nodes_explored == 1
+    assert v.witness.kind == "label_clash"
+    assert v.witness == alone.witness
 
 
 def test_repair_finds_matchbox_embedding():

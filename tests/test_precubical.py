@@ -75,6 +75,41 @@ def test_connectivity_and_acyclicity():
     assert not is_connected(extra)
 
 
+def test_acyclicity_agrees_with_the_closure_of_the_steps():
+    # is_acyclic reads only the sequential arcs; the reference closes the
+    # whole step graph.  Cases: the corpus, and random complexes and DAGs
+    # with two vertices merged: one reaching the other (a cycle), or neither
+    import random
+
+    from hdasculpt.events import transitive_closure
+    from hdasculpt.randgen import (_incomparable_vertex_pairs, _merge_vertices,
+                                   _random_complex_hda, _random_dag_hda)
+    rng = random.Random(16)
+    cases = [f.build() for f in corpus.fixtures()]
+    while len(cases) < 2000 + len(corpus.fixtures()):
+        h = _random_complex_hda(rng) if rng.random() < 0.7 else _random_dag_hda(rng, 10)
+        if rng.random() < 0.5:
+            pairs = sorted(transitive_closure((h.s(e, 1), h.t(e, 1)) for e in h.grade(1)))
+        else:
+            pairs = _incomparable_vertex_pairs(h)
+        if not pairs:
+            continue
+        h = _merge_vertices(h, *pairs[rng.randrange(len(pairs))])
+        if validate_hda(h).ok:
+            cases.append(h)
+    outcomes = {True: 0, False: 0}
+    for h in cases:
+        succ = h.base.successors
+        reach = transitive_closure((c, d) for c in succ for d in succ[c])
+        ok, pair = is_acyclic(h)
+        assert ok == (not any(c != d and (d, c) in reach for c, d in reach))
+        if not ok:
+            v, e = pair
+            assert v != e and (v, e) in reach and (e, v) in reach
+        outcomes[ok] += 1
+    assert min(outcomes.values()) > 500
+
+
 # ---------------------------------------------------------------------------
 # Paths
 
