@@ -14,9 +14,8 @@ from .errors import (CyclicError, HdaError, HeldAtEndError, IllegalPathError,
                      PvSyntaxError, RepeatingEventsError, ResourceLimitError,
                      UnmatchedReleaseError)
 from .euclid import (ComplexEmbedding, Cube, EuclideanComplex, Grid,
-                     complex_from_json, complex_to_hda, complex_to_json, cube,
-                     euclidean_complex, grid, grid_to_bulk, make_grid,
-                     sculpture_to_complex)
+                     complex_to_hda, complex_to_json, cube, euclidean_complex,
+                     grid, grid_to_bulk, make_grid, sculpture_to_complex)
 from .events import (EventPartition, UniversalEvents, discrete_partition,
                      has_non_repeating_events, is_consistent, is_ordered,
                      multilabel, partition_of, partition_to_json,

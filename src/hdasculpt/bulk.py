@@ -73,9 +73,6 @@ class Sculpture:
     d: int
     em: Mapping[str, str]
 
-    def image(self, cell: str) -> str:
-        return self.em[cell]
-
 
 def validate_sculpture(s: Sculpture) -> ValidationReport:
     """Problems with the embedding; only the HDA's when the HDA itself fails."""

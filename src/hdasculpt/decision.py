@@ -1,7 +1,9 @@
 """Sculptability: the path covering, proper identifications, and the searches.
 
 The covering labels every cell with the configurations of all rooted paths
-reaching it.  A partition of the universal labels is a proper identification
+reaching it.  Each such path is homotopic to a sequential path to the cell's
+bottom vertex followed by the climb into the cell, so a cell's configurations
+are its bottom vertex's with the cell's own events running.  A partition of the universal labels is a proper identification
 when the quotient order stays antisymmetric, every cell keeps exactly one
 quotient configuration, and distinct cells keep distinct ones; sculptability
 is equivalent to the existence of such a partition.  Two searches are
@@ -90,10 +92,10 @@ def _covering(h: Hda, ue: UniversalEvents) -> Covering:
     Each move from a (cell, started, terminated) key is tried in a fixed
     order: s-steps by coface, then t-steps for k = 1..dim.  Every reachable
     key is expanded, so every sequential rooted path is followed, and going
-    round a step cycle twice restarts its events.  At the first restart
-    this raises ``RepeatingEventsError``, with the witness of
-    ``has_non_repeating_events`` when a sequential path repeats an event,
-    which it does on every cyclic automaton.
+    round a step cycle twice restarts its events.  A restart at any cell is
+    one at its bottom vertex, a repeat on a sequential path: at the first
+    one this raises ``RepeatingEventsError`` with the witness of
+    ``has_non_repeating_events``.
     """
     index = {r: i for i, r in enumerate(ue.reps)}
     bits = _event_bits(h.base, ue, index)
@@ -110,13 +112,8 @@ def _covering(h: Hda, ue: UniversalEvents) -> Covering:
         for k, up in cofaces[cell]:
             b = bits[up][k - 1]
             if s & b:
-                ok, path = has_non_repeating_events(h, ue)
-                if not ok:
-                    raise RepeatingEventsError(
-                        "a sequential path repeats an event", path)
-                raise RepeatingEventsError(
-                    f"event {ue.reps[b.bit_length() - 1]!r} restarted entering {up!r}",
-                    None)
+                raise RepeatingEventsError("a sequential path repeats an event",
+                                           has_non_repeating_events(h, ue)[1])
             moves.append((up, s | b, t, "s", k))
         if cell_bits := bits[cell]:
             moves += [(f, s, t | b, "t", k)
@@ -224,11 +221,11 @@ class _Quotient:
     it.  The configurations are held flat, cell by cell in covering order,
     with each cell's slice.  The index of the configurations starting each
     event, the events each event is started together with, the owner of
-    each key, and per cell the number of distinct keys it ``held``, with
-    the number of cells that hold more than one (``split``: clause 2 fails
-    exactly when it is nonzero), are built by ``index``, which a search
-    calls before its first merge: a search that never merges needs none of
-    them.
+    each key, and per cell the number of distinct keys it ``held`` are
+    built by ``index``, which a search calls before its first merge.  A
+    cell holds two keys only if its bottom vertex does, so once no vertex
+    does and no merge has clashed, the partition is proper if its quotient
+    order is acyclic.
     """
 
     def __init__(self, covering: Covering):
@@ -244,12 +241,18 @@ class _Quotient:
         self.cooccur: list[int] = []   # event -> the bits of the events started with it
         self.owner: dict[tuple[int, int], str] = {}
         self.held: dict[str, int] = {}
-        self.split = 0
 
     def cell_keys(self):
         """(cell, that cell's keys) per cell, in covering order."""
         keys = self.keys
         return ((cell, keys[at]) for cell, at in self.span.items())
+
+    def sculpture(self, h: Hda, events) -> Sculpture:
+        """The sculpture of a partition under which every cell holds one
+        key, its classes in the order ``events`` lists them."""
+        keys = self.keys
+        return Sculpture(h, len(events), _images(
+            events, {cell: (keys[at.start],) for cell, at in self.span.items()}))
 
     def index(self):
         """Build the index and the co-occurrence table, and the owner map
@@ -269,7 +272,6 @@ class _Quotient:
         if clash is None:   # a cell's configurations have distinct masks
             self.owner = dict(zip(self.keys, self.cells))
             self.held = {cell: at.stop - at.start for cell, at in self.span.items()}
-            self.split = sum(n > 1 for n in self.held.values())
         return clash
 
     def merge(self, part: Sequence[int], lo: int, hi: int):
@@ -301,11 +303,7 @@ class _Quotient:
                     self.undo(moved)
                     return None, (first, cell, new)
                 dropped = owner.pop(old, None) is not None
-                change = (first is None) - dropped
-                if change:   # the cell holds one key more, or one fewer
-                    n = held[cell]
-                    held[cell] = n + change
-                    self.split += (n + change > 1) - (n > 1)
+                held[cell] += (first is None) - dropped
                 keys[j] = new
                 moved.append((j, old, new, first is None, dropped))
         return moved, None
@@ -317,11 +315,7 @@ class _Quotient:
             cell = owner[old] = cells[j]
             if fresh:
                 del owner[new]
-            change = dropped - fresh
-            if change:
-                n = held[cell]
-                held[cell] = n + change
-                self.split += (n + change > 1) - (n > 1)
+            held[cell] += dropped - fresh
 
 
 def _linear_extension(gens, part: Sequence[int]) -> dict[int, int] | None:
@@ -544,10 +538,8 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
         if i == m:
             # every merge was checked for a clash, and every cell keeps one
             # key, so clauses 2 and 3 hold here
-            if _linear_extension(covering.gens, part) is None:
-                return None
-            sculpture = _proper(h, covering, tuple(part), state.cell_keys())[0]
-            return tuple(part), sculpture
+            events = _linear_extension(covering.gens, part)
+            return None if events is None else (tuple(part), state.sculpture(h, events))
         for first in firsts:
             nodes += 1
             undo, clash = state.merge(part, first, i)
@@ -774,16 +766,19 @@ def repair_search(h: Hda, covering: Covering | None = None,
     interleavings included) chain before anything branches.  Branches whose
     quotient order turns cyclic are dropped.
 
-    One quotient state serves the whole search.  A child is built when it
-    is pulled, one matched position at a time, by merges on that state; its
-    merges stay applied while it is expanded and are undone when its
-    parent's next child is built.  A prefix whose merge makes two distinct
-    cells share a quotient configuration is dropped with all its
-    completions: merging never separates them, so no coarsening is proper.
-    The first such clash is kept as the witness, and the nodes left are
-    visited in the same order as without the pruning, so the first proper
-    leaf is the same.  ``nodes_explored`` counts the children pulled; the
-    budget bounds those and the dropped prefixes together.
+    The root, the discrete partition, is decided alone when no state holds
+    two configurations.  Otherwise one quotient state, indexed at the root,
+    serves the whole search, and a clash of the root is the witness at once.
+    A child is built when it is pulled, one matched position at a time, by
+    merges on that state; its merges stay applied while it is expanded and
+    are undone when its parent's next child is built.  A prefix whose merge
+    makes two distinct cells share a quotient configuration is dropped with
+    all its completions: merging never separates them, so no coarsening is
+    proper.  The first such clash is kept as the witness, and the nodes left
+    are visited in the same order as without the pruning.  The first node
+    with an acyclic order where no state holds two keys is proper (see
+    ``_Quotient``).  ``nodes_explored`` counts the root and the children
+    pulled; the budget bounds those and the dropped prefixes together.
     """
     if covering is None:
         covering = path_covering(h)
@@ -792,9 +787,8 @@ def repair_search(h: Hda, covering: Covering | None = None,
     if mismatch is not None:
         return Verdict(False, witness=mismatch)
 
-    state = None   # built at the root's first conflict
-    root_clash = first_clash = None
-    nodes = pruned = 0
+    first_clash = None
+    nodes, pruned = 1, 0   # the root
 
     def check_budget():
         if nodes + pruned > node_budget:
@@ -804,6 +798,7 @@ def repair_search(h: Hda, covering: Covering | None = None,
         """Per matching, in ``_matchings`` order, ``part`` with each matched
         pair's classes merged under the smaller index, unless that is
         ``part`` itself."""
+        nonlocal nodes
         parts, trail = [part], []
 
         def enter(k, j):
@@ -832,27 +827,47 @@ def repair_search(h: Hda, covering: Covering | None = None,
 
         for _ in _matchings(table, enter, leave):
             if parts[-1] != part:
+                nodes += 1
+                check_budget()
                 yield parts[-1]
 
-    position: dict[str, int] = {}   # edge -> its label's place in ue.reps
+    check_budget()
+    root = tuple(range(len(ue.reps)))
+    stack = []   # per expanded node, the generator of its children
+    if all(len(covering.masks[v]) == 1 for v in h.grade(0)):
+        # nor does any cell, so the root fails only on a clash or, for an
+        # unordered automaton passed in directly, on its order
+        sculpture, violation = _proper(h, covering, root, covering.masks.items())
+        if sculpture is not None:
+            return Verdict(True, partition=classes_by_label(ue.reps, root),
+                           sculpture=sculpture, nodes_explored=1, ue=ue)
+        if violation.clause == 3:
+            first_clash = Witness("label_clash", cells=violation.cells,
+                                  config=violation.configs[0])
+    else:
+        state = _Quotient(covering)
+        clash = state.index()
+        if clash is not None:
+            return Verdict(False, witness=_clash_witness(ue, clash), nodes_explored=1)
+        index = {r: i for i, r in enumerate(ue.reps)}
+        position = {e: index[r] for e, r in ue.rep.items()}   # edge -> label place
+        stack.append(iter([root]))
     normal: dict = {}   # normal forms and pair divergences, see _homotopy_pair
-    # the stack holds, per expanded node, the generator of its children; the
-    # first is the discrete partition
-    stack = [iter([tuple(range(len(ue.reps)))])]
     seen: set[tuple[int, ...]] = set()
     while stack:
         part = next(stack[-1], None)
         if part is None:
             stack.pop()
             continue
-        nodes += 1
-        check_budget()
         below = None if part in seen else _linear_extension(covering.gens, part)
         if below is None:
             continue  # reached along another merge order, or cyclic
         seen.add(part)
         members: dict[int, int] = {}   # class -> the bits of its events
         meets: dict[int, int] = {}     # class -> the events co-occurring with it
+        for i, c in enumerate(part):
+            members[c] = members.get(c, 0) | 1 << i
+            meets[c] = meets.get(c, 0) | state.cooccur[i]
 
         def compatible(x, y):
             # merging order-comparable classes always collapses a square's
@@ -867,23 +882,8 @@ def repair_search(h: Hda, covering: Covering | None = None,
         pairs = []
 
         def conflicts():
-            nonlocal root_clash, state
             for cell in h.grade(0):
-                # until the state is built, a cell holds each of its masks
-                if (len(covering.masks[cell]) if state is None
-                        else state.held[cell]) > 1:
-                    if not pairs:   # the node's first conflict: build its tables
-                        if state is None:   # the first merge is near: index the root
-                            state = _Quotient(covering)
-                            root_clash = state.index()
-                            if root_clash is not None:
-                                return   # and every partition coarsens it
-                            index = {r: i for i, r in enumerate(ue.reps)}
-                            position.update((e, index[r]) for e, r in ue.rep.items())
-                        cooccur = state.cooccur
-                        for i, c in enumerate(part):
-                            members[c] = members.get(c, 0) | 1 << i
-                            meets[c] = meets.get(c, 0) | cooccur[i]
+                if state.held[cell] > 1:
                     labels_a, labels_b, states_a, states_b = _homotopy_pair(
                         h, covering, cell, state.keys[state.span[cell]], normal,
                         position)
@@ -893,26 +893,10 @@ def repair_search(h: Hda, covering: Covering | None = None,
                         compatible, [sa != sb for sa, sb in zip(states_a, states_b)])
 
         chosen, count, table, dead_conflict = _fewest_matchings(conflicts())
-        if root_clash is not None:
-            return Verdict(False, witness=_clash_witness(ue, root_clash),
-                           nodes_explored=nodes)
         if not pairs:
-            if state is None:   # a conflict-free root: its keys are the masks
-                cell_keys = covering.masks.items()
-            elif state.split:
-                continue   # clause 2 fails, and only a clash is kept
-            else:
-                cell_keys = state.cell_keys()
-            sculpture, violation = _proper(h, covering, part, cell_keys)
-            if sculpture is not None:
-                return Verdict(True, partition=classes_by_label(ue.reps, part),
-                               sculpture=sculpture, nodes_explored=nodes, ue=ue)
-            # a clash here is the discrete partition's: every other node was
-            # built without one
-            if violation.clause == 3 and first_clash is None:
-                first_clash = Witness("label_clash", cells=violation.cells,
-                                      config=violation.configs[0])
-            continue
+            return Verdict(True, partition=classes_by_label(ue.reps, part),
+                           sculpture=state.sculpture(h, below), nodes_explored=nodes,
+                           ue=ue)
         if dead_conflict and count > 1:
             # an irreparable conflict remains, so only forced repairs are
             # worth following for the sake of a sharper witness

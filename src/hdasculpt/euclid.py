@@ -44,12 +44,6 @@ class Cube:
     def dim(self) -> int:
         return len(self.directions)
 
-    def face(self, alpha: str, k: int) -> "Cube":
-        i, lower, upper = self.directions[k - 1], self.lower, self.upper
-        if alpha == "s":
-            return Cube(lower, upper[:i] + lower[i:i + 1] + upper[i + 1:])
-        return Cube(lower[:i] + upper[i:i + 1] + lower[i + 1:], upper)
-
     def cell_id(self) -> str:
         return ",".join(map(_token, self.lower, self.upper)) or "pt"
 
@@ -267,9 +261,3 @@ def sculpture_to_complex(s: Sculpture) -> EuclideanComplex:
 def complex_to_json(c: EuclideanComplex) -> dict:
     return {"cubes": [{"a": list(q.lower), "b": list(q.upper)}
                       for q in c.sorted_cubes()]}
-
-
-def complex_from_json(data: Mapping) -> EuclideanComplex:
-    comp, _ = euclidean_complex(
-        [cube(q["a"], q["b"]) for q in data["cubes"]], auto_close=True)
-    return comp

@@ -56,6 +56,8 @@ def to_tikz(h: Hda) -> str:
     for d, vs in sorted(by_layer.items()):
         for i, v in enumerate(vs):
             coord[v] = (2.0 * d, 1.5 * i)
+    # TikZ reads "(0,1)" as a point, so nodes are named by declaration order
+    name = {v: f"v{i}" for i, v in enumerate(h.grade(0))}
     lines = ["\\begin{tikzpicture}[>=stealth]"]
     for q in h.grade(2):
         cs = [h.s(h.s(q, 1), 1), h.t(h.s(q, 1), 1),
@@ -65,9 +67,9 @@ def to_tikz(h: Hda) -> str:
     for v in h.grade(0):
         style = "circle,draw,fill=black" if v == h.initial else "circle,draw"
         x, y = coord[v]
-        lines.append(f"  \\node[{style},inner sep=1.5pt] ({v}) at ({x},{y}) {{}};")
+        lines.append(f"  \\node[{style},inner sep=1.5pt] ({name[v]}) at ({x},{y}) {{}};")
     for e in h.grade(1):
-        lines.append(f"  \\draw[->] ({h.s(e, 1)}) -- node[above,font=\\tiny]"
-                     f" {{{e}}} ({h.t(e, 1)});")
+        lines.append(f"  \\draw[->] ({name[h.s(e, 1)]}) -- node[above,font=\\tiny]"
+                     f" {{{e}}} ({name[h.t(e, 1)]});")
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines)

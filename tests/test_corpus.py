@@ -1,6 +1,7 @@
 """Fixture integrity and expected verdicts."""
 
 import json
+from pathlib import Path
 
 from hdasculpt import corpus, is_connected, validate_hda
 
@@ -52,3 +53,13 @@ def test_export_writes_parseable_files(tmp_path):
         with open(p) as fh:
             data = json.load(fh)
         assert {"name", "hda", "expected"} <= set(data)
+
+
+def test_shipped_corpus_files_are_the_exported_fixtures(tmp_path):
+    # the benchmark and the command-line checks read corpus/*.json, so the
+    # files must stay what export_corpus writes
+    shipped = Path(__file__).resolve().parents[1] / "corpus"
+    written = [Path(p) for p in corpus.export_corpus(str(tmp_path))]
+    assert sorted(p.name for p in written) == sorted(p.name for p in shipped.iterdir())
+    for path in written:
+        assert path.read_bytes() == (shipped / path.name).read_bytes(), path.name

@@ -710,24 +710,29 @@ def test_decision_derives_each_table_once(monkeypatch, name):
     assert calls == {"validate_precubical": 1, "cofaces": 1, "successors": 1}
 
 
-def test_decision_rejects_a_sculpture_that_fails_its_certificate(monkeypatch):
+@pytest.mark.parametrize("name, oracle", [
+    ("matchbox", False),    # the repair search's conflict-free root
+    ("two_mutex", False),   # a repair node
+    ("matchbox", True),     # the oracle's leaf
+])
+def test_decision_rejects_a_sculpture_that_fails_its_certificate(monkeypatch, name,
+                                                                 oracle):
     import hdasculpt.decision as decision
-    from hdasculpt import Sculpture
-    proper = decision._proper
+    from hdasculpt import parse_pv, pv_to_complex
+    h = (corpus.matchbox() if name == "matchbox"
+         else pv_to_complex(parse_pv(TWO_MUTEX)).hda)
+    images = decision._images
 
-    def swapped(h, covering, part, cell_keys):
-        sculpture, violation = proper(h, covering, part, cell_keys)
-        if sculpture is not None:   # swap the images of two vertices
-            em = dict(sculpture.em)
-            a, b = h.grade(0)[:2]
-            em[a], em[b] = em[b], em[a]
-            sculpture = Sculpture(h, sculpture.d, em)
-        return sculpture, violation
+    def swapped(events, keys):   # swap the images of two vertices
+        em = images(events, keys)
+        a, b = h.grade(0)[:2]
+        em[a], em[b] = em[b], em[a]
+        return em
 
-    monkeypatch.setattr(decision, "_proper", swapped)
+    monkeypatch.setattr(decision, "_images", swapped)
     with pytest.raises(InvalidStructureError,
                        match="internal error: certificate failed validation"):
-        decide_sculptable(corpus.matchbox())
+        decide_sculptable(h, oracle=oracle)
 
 
 def _quotient_order(gens, part):
@@ -788,8 +793,7 @@ def test_quotient_state_tracks_the_class_bit_table(kernel_cases, data):
     # those the class-bit table gives, a merge clashes exactly when two
     # distinct cells then share a key, and undoing restores keys and owners;
     # after every merge, refused merge and undo, each cell's count is the
-    # number of its distinct keys, and the split count that of the cells
-    # holding more than one
+    # number of its distinct keys
     from hdasculpt.decision import _cell_keys, _clash, _class_bits, _Quotient
     h, cov = data.draw(hst.sampled_from(kernel_cases))
     m = len(cov.ue.reps)
@@ -800,12 +804,10 @@ def test_quotient_state_tracks_the_class_bit_table(kernel_cases, data):
         return
 
     def snapshot():
-        return list(state.keys), dict(state.owner), dict(state.held), state.split
+        return list(state.keys), dict(state.owner), dict(state.held)
 
     def assert_counts():
-        held = {c: len(set(keys)) for c, keys in state.cell_keys()}
-        assert state.held == held
-        assert state.split == sum(n > 1 for n in held.values())
+        assert state.held == {c: len(set(keys)) for c, keys in state.cell_keys()}
 
     def differing(s1, s2):
         return data.draw(hst.sampled_from(
@@ -847,6 +849,52 @@ def test_quotient_state_tracks_the_class_bit_table(kernel_cases, data):
         state.undo(undo)
         assert_counts()
         assert snapshot() == before
+
+
+def _merged_complexes(count: int):
+    """Seeded random complexes of squares in a 3 x 3 box, each with two
+    incomparable vertices merged, kept when the covering still succeeds."""
+    import random
+
+    from hdasculpt.euclid import Cube, complex_to_hda
+    from hdasculpt.precubical import restrict_to_reachable, validate_hda
+    from hdasculpt.randgen import _incomparable_vertex_pairs, _merge_vertices
+    rng = random.Random(2026)
+    out = []
+    while len(out) < count:
+        tops = [Cube(p, (p[0] + 1, p[1] + 1)) for p in itertools.product(range(3), repeat=2)
+                if p == (0, 0) or rng.random() < 0.6]
+        h = restrict_to_reachable(complex_to_hda(tops, initial=(0, 0)).hda)
+        pairs = [p for p in _incomparable_vertex_pairs(h) if h.initial not in p]
+        rng.shuffle(pairs)
+        for a, b in pairs[:5]:
+            merged = restrict_to_reachable(_merge_vertices(h, a, b))
+            if validate_hda(merged).ok:
+                covered = _covered([merged])
+                if covered:
+                    out += covered
+                    break
+    return out
+
+
+def test_a_cells_configurations_are_its_bottom_vertexs_with_its_events_running(
+        kernel_cases):
+    # every rooted path to a cell is homotopic to a sequential path to the
+    # cell's bottom vertex followed by the climb into the cell; the repair
+    # search and the covering's single raise rest on this
+    cases = [*kernel_cases, *_covered(f.build() for f in corpus.fixtures()),
+             *_merged_complexes(200)]
+    higher = 0
+    for h, cov in cases:
+        index = {r: i for i, r in enumerate(cov.ue.reps)}
+        for cell in h.all_cells():
+            bottom = cell
+            while h.dim(bottom):
+                bottom = h.s(bottom, 1)
+            own = sum(1 << index[lab] for lab in multilabel(h.base, cell, cov.ue))
+            assert set(cov.masks[cell]) == {(s | own, t) for s, t in cov.masks[bottom]}
+            higher += h.dim(cell) > 1
+    assert higher > 1000
 
 
 def _fewest_by_listing(conflicts):
