@@ -130,7 +130,7 @@ def _cmd_corpus_export(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    h = hda_from_json(_load(args.input))
+    h = _load_hda(args.input)
     if args.format == "dot":
         print(to_dot(h))
     elif args.format == "tikz":

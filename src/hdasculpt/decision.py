@@ -3,19 +3,21 @@
 The covering labels every cell with the configurations of all rooted paths
 reaching it.  Each such path is homotopic to a sequential path to the cell's
 bottom vertex followed by the climb into the cell, so a cell's configurations
-are its bottom vertex's with the cell's own events running.  A partition of the universal labels is a proper identification
-when the quotient order stays antisymmetric, every cell keeps exactly one
-quotient configuration, and distinct cells keep distinct ones; sculptability
-is equivalent to the existence of such a partition.  Two searches are
-provided: an exact branch and bound over partitions in restricted-growth-string
-order, and an incremental repair that resolves conflicts at states by merging
-matched events along homotopy pairs, backtracking on clashes.
+are its bottom vertex's with the cell's own events running, and the
+vertices' are the keys of one breadth-first walk along the sequential arcs,
+which stops at the first repeated event.  A partition of the universal
+labels is a proper identification when the quotient order stays
+antisymmetric, every cell keeps exactly one quotient configuration, and
+distinct cells keep distinct ones; sculptability is equivalent to the
+existence of such a partition.  Two searches are provided: an exact branch
+and bound over partitions in restricted-growth-string order, and an
+incremental repair that resolves conflicts at states by merging matched
+events along homotopy pairs, backtracking on clashes.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -23,10 +25,10 @@ from typing import Mapping, Sequence
 from .bulk import Sculpture, validate_images
 from .errors import (InvalidStructureError, NotConnectedError, NotProperError,
                      RepeatingEventsError, ResourceLimitError)
-from .events import (EventPartition, UniversalEvents, class_indices,
-                     classes_by_label, has_non_repeating_events, is_ordered,
+from .events import (EventPartition, UniversalEvents, _sequential_walk,
+                     _walk_route, class_indices, classes_by_label, is_ordered,
                      partition_to_json, transitive_closure, universal_events)
-from .precubical import (Hda, Path, Step, _normal_form, is_connected,
+from .precubical import (Hda, Path, _climb, _sequential_path, is_connected,
                          validate_hda)
 from .st_chu import StConfig, StStructure
 
@@ -42,8 +44,11 @@ class Covering:
     ue: UniversalEvents
     masks: Mapping[str, tuple[tuple[int, int], ...]]   # cell -> configurations
     gens: tuple[tuple[int, int], ...]   # ue.generators, as positions in ue.reps
-    # (cell, started, terminated) -> (the previous key, direction, index), or None
+    _bottom: Mapping[str, str] = field(repr=False)   # cell -> its bottom vertex
+    # the walk's (vertex, started) keys -> (the previous key, the edge of the
+    # arc between), or None at the root; see events._sequential_walk
     _parents: Mapping = field(repr=False)
+    _hda: Hda = field(repr=False)
 
     @cached_property
     def configs(self) -> Mapping[str, tuple[StConfig, ...]]:
@@ -56,30 +61,40 @@ class Covering:
                            frozenset(c for cs in self.configs.values() for c in cs))
 
     def witness(self, cell: str, cfg: StConfig) -> Path:
+        """A rooted path to ``cell`` with configuration ``cfg``; KeyError
+        unless ``cfg`` is one of the cell's configurations."""
         bit = {r: 1 << i for i, r in enumerate(self.ue.reps)}
-        return self._route(cell, (sum(map(bit.__getitem__, cfg.started)),
-                                  sum(map(bit.__getitem__, cfg.terminated))))
+        mask = tuple(sum(map(bit.__getitem__, labels))
+                     for labels in (cfg.started, cfg.terminated))
+        if mask not in self.masks[cell]:
+            raise KeyError((cell, cfg))
+        return self._route(cell, mask[1])
 
-    def _route(self, cell: str, mask: tuple[int, int]) -> Path:
-        steps = []
-        key = (cell, *mask)
-        while (parent := self._parents[key]) is not None:
-            prev, direction, k = parent
-            steps.append(Step(direction, k, key[0]))
-            key = prev
-        steps.reverse()
-        return Path(key[0], tuple(steps))
+    def _arcs(self, cell: str, terminated: int) -> list[tuple[str, str]]:
+        """The sequential route of the configuration of ``cell`` with
+        ``terminated`` to the cell's bottom vertex, as (edge, state) arcs."""
+        return _walk_route(self._parents, (self._bottom[cell], terminated))
+
+    def _route(self, cell: str, terminated: int) -> Path:
+        """The route of ``_arcs`` followed by the canonical climb into the
+        cell: a path of type (s_1 t_1)^l s_1 .. s_n, as ``normalize_path``
+        writes it."""
+        h = self._hda
+        steps = _sequential_path(h.initial, self._arcs(cell, terminated)).steps
+        return Path(h.initial, steps + _climb(h.base, cell))
 
 
 def path_covering(h: Hda, ue: UniversalEvents | None = None) -> Covering:
     """The configuration each rooted path assigns to its end cell, per cell.
 
-    Runs a breadth-first fixpoint over (cell, configuration) pairs: an
-    s_i-step into q starts the i-th running event of q, a t_i-step out of q
-    terminates it.  Homotopic paths agree on their configuration, so the
-    fixpoint covers all rooted paths.  Requires a connected automaton, and
-    raises ``RepeatingEventsError`` when some rooted path restarts an
-    event, as on every cyclic one.
+    Every rooted path to a cell is homotopic to a sequential path to the
+    cell's bottom vertex followed by the climb into the cell, so the
+    cell's configurations are its bottom vertex's with the cell's own
+    events running.  The vertices' configurations are the keys of one
+    breadth-first walk along the sequential arcs
+    (``events._sequential_walk``).  Requires a connected automaton, and
+    raises ``RepeatingEventsError`` with a shortest sequential rooted path
+    that repeats an event when there is one, as on every cyclic automaton.
     """
     if not is_connected(h):
         raise NotConnectedError("automaton is not connected")
@@ -89,62 +104,42 @@ def path_covering(h: Hda, ue: UniversalEvents | None = None) -> Covering:
 def _covering(h: Hda, ue: UniversalEvents) -> Covering:
     """``path_covering`` for an automaton known to be connected.
 
-    Each move from a (cell, started, terminated) key is tried in a fixed
-    order: s-steps by coface, then t-steps for k = 1..dim.  Every reachable
-    key is expanded, so every sequential rooted path is followed, and going
-    round a step cycle twice restarts its events.  A restart at any cell is
-    one at its bottom vertex, a repeat on a sequential path: at the first
-    one this raises ``RepeatingEventsError`` with the witness of
-    ``has_non_repeating_events``.
+    A vertex's configurations are (s, s) for each key (vertex, s) of the
+    walk, in the walk's order, and a cell's are (s | own, s) for each of its
+    bottom vertex's s, in that order, where own holds the bits of the
+    cell's events.  Both tables are read in dimension order off the
+    s-faces: an n-cell's bottom vertex is its s_1-face's, and for n >= 2 its
+    events are those of its s_1-face and of its s_n-face together.
     """
+    parents, repeat = _sequential_walk(h, ue)
+    if repeat is not None:
+        raise RepeatingEventsError("a sequential path repeats an event", repeat)
+    bottom, own = _cell_tables(h.base, ue)
+    at: dict[str, list[int]] = {v: [] for v in h.grade(0)}
+    for v, s in parents:
+        at[v].append(s)
+    masks = {c: tuple([(s | own[c], s) for s in at[bottom[c]]]) for c in h.all_cells()}
     index = {r: i for i, r in enumerate(ue.reps)}
-    bits = _event_bits(h.base, ue, index)
-    cofaces, t_faces = h.base.cofaces, h.base.t_faces
-    start = (h.initial, 0, 0)
-    parents: dict = {start: None}
-    masks: dict[str, list[tuple[int, int]]] = {c: [] for c in h.all_cells()}
-    masks[h.initial].append((0, 0))
-    queue = deque([start])
-    while queue:
-        key = queue.popleft()
-        cell, s, t = key
-        moves = []
-        for k, up in cofaces[cell]:
-            b = bits[up][k - 1]
-            if s & b:
-                raise RepeatingEventsError("a sequential path repeats an event",
-                                           has_non_repeating_events(h, ue)[1])
-            moves.append((up, s | b, t, "s", k))
-        if cell_bits := bits[cell]:
-            moves += [(f, s, t | b, "t", k)
-                      for k, (f, b) in enumerate(zip(t_faces[cell], cell_bits), 1)]
-        for target, s2, t2, direction, k in moves:
-            new_key = (target, s2, t2)
-            if new_key not in parents:
-                parents[new_key] = (key, direction, k)
-                masks[target].append((s2, t2))
-                queue.append(new_key)
-    return Covering(ue=ue, masks={c: tuple(ms) for c, ms in masks.items()},
+    return Covering(ue=ue, masks=masks,
                     gens=tuple((index[a], index[b]) for a, b in ue.generators),
-                    _parents=parents)
+                    _bottom=bottom, _parents=parents, _hda=h)
 
 
-def _event_bits(base, ue: UniversalEvents, index: Mapping[str, int]):
-    """Each cell's ``multilabel``, as the bits of its events' positions.
-
-    By ``multilabel``'s definition an n-cell's first n - 1 events are those
-    of its s_n-face, and its last is the last of its s_{n-1}-face's, so the
-    cells are read in dimension order off their faces' tuples.
-    """
-    s_faces = base.s_faces
-    bits = dict.fromkeys(base.grade(0), ())
-    bits.update((e, (1 << index[ue.rep[e]],)) for e in base.grade(1))
+def _cell_tables(base, ue: UniversalEvents):
+    """Each cell's bottom vertex, and the bits of its ``multilabel``."""
+    s_faces, position = base.s_faces, ue.position
+    bottom = {v: v for v in base.grade(0)}
+    own = dict.fromkeys(base.grade(0), 0)
+    for e in base.grade(1):
+        bottom[e] = s_faces[e][0]
+        own[e] = 1 << position[e]
     for n in sorted(base.cells):
         if n >= 2:
             for q in base.cells[n]:
-                faces = s_faces[q]
-                bits[q] = bits[faces[n - 1]] + (bits[faces[n - 2]][n - 2],)
-    return bits
+                first, last = s_faces[q][0], s_faces[q][-1]
+                bottom[q] = bottom[first]
+                own[q] = own[first] | own[last]
+    return bottom, own
 
 
 # ---------------------------------------------------------------------------
@@ -578,68 +573,50 @@ def _length_mismatch(h: Hda, covering: Covering):
     return None
 
 
-def _homotopy_pair(h: Hda, covering: Covering, cell: str,
-                   keys: Sequence[tuple[int, int]], normal: dict,
-                   position: Mapping[str, int]):
-    """Two matched-length event sequences witnessing a conflict at ``cell``,
-    as the positions of their labels in ``ue.reps`` (``position``).
+def _homotopy_pair(covering: Covering, cell: str,
+                   keys: Sequence[tuple[int, int]], divergence: dict):
+    """Two matched-length event sequences witnessing a conflict at the
+    vertex ``cell``, as the positions of their labels in ``ue.reps``.
 
-    Takes one witness per distinct quotient configuration, normalizes each
-    to its sequential form, pairs the first (in covering order) with each
-    other one, strips shared prefixes and tails so the pair spans exactly
-    the divergence, and returns the shortest suffix pair together with the
-    states the two routes pass through.  Ties are broken on the label
-    positions, then on the edges' declaration order, so cell names never
-    decide.  Any two distinct configurations at a state must be reconciled,
-    so pairing with the first changes only which conflict is repaired
-    first.  ``normal`` caches the normal forms by (cell, mask) and each
-    pair's divergence by (cell, mask, mask), since neither depends on the
+    Takes the sequential route (``Covering._arcs``) of one configuration
+    per distinct quotient configuration, pairs the first (in covering
+    order) with each other one, strips the arcs both share at the start and
+    at the end so the pair spans exactly the divergence, and returns the
+    shortest pair together with the states the two routes pass through.
+    Ties are broken on the label positions, then on the edges' declaration
+    order, so cell names never decide.  Any two distinct configurations at
+    a state must be reconciled, so pairing with the first changes only
+    which conflict is repaired first.  ``divergence`` caches each pair by
+    (cell, terminated, terminated), since it does not depend on the
     partition.
     """
-    by_quotient: dict[tuple[int, int], tuple[int, int]] = {}
-    for mask, key in zip(covering.masks[cell], keys):
-        by_quotient.setdefault(key, mask)
-    for mask in by_quotient.values():
-        if (cell, mask) not in normal:
-            normal[cell, mask] = _normal_form(h, covering._route(cell, mask))
-    declared = h.base.declaration_index
-    ma, *others = by_quotient.values()
+    by_quotient: dict[tuple[int, int], int] = {}
+    for (_, t), key in zip(covering.masks[cell], keys):
+        by_quotient.setdefault(key, t)
+    position, declared = covering.ue.position, covering._hda.base.declaration_index
+    ta, *others = by_quotient.values()
     best = None
-    for mb in others:
-        pair = normal.get((cell, ma, mb))
+    for tb in others:
+        pair = divergence.get((cell, ta, tb))
         if pair is None:
-            pa, pb = normal[cell, ma], normal[cell, mb]
+            ra, rb = covering._arcs(cell, ta), covering._arcs(cell, tb)
             common = 0
-            while (common < len(pa.steps) and common < len(pb.steps)
-                   and pa.steps[common] == pb.steps[common]):
+            while common < len(ra) and common < len(rb) and ra[common] == rb[common]:
                 common += 1
-            # also drop any shared tail, so the pair spans just the divergence;
-            # only whole start-then-terminate pairs may go, which keeps both
-            # remainders ending at one state
             tail = 0
-            while (common + tail < len(pa.steps) and common + tail < len(pb.steps)
-                   and pa.steps[len(pa.steps) - 1 - tail]
-                   == pb.steps[len(pb.steps) - 1 - tail]):
+            while (common + tail < len(ra) and common + tail < len(rb)
+                   and ra[-1 - tail] == rb[-1 - tail]):
                 tail += 1
-            tail -= tail % 2
-            edges_a = [s.target for s in pa.steps[common:len(pa.steps) - tail]
-                       if s.direction == "s"]
-            edges_b = [s.target for s in pb.steps[common:len(pb.steps) - tail]
-                       if s.direction == "s"]
-            states_a = [s.target for s in pa.steps[common:len(pa.steps) - tail]
-                        if s.direction == "t"]
-            states_b = [s.target for s in pb.steps[common:len(pb.steps) - tail]
-                        if s.direction == "t"]
-            labels_a = tuple(map(position.__getitem__, edges_a))
-            labels_b = tuple(map(position.__getitem__, edges_b))
-            order_a = tuple(map(declared, edges_a))
-            order_b = tuple(map(declared, edges_b))
-            key = (len(edges_a), labels_a, labels_b, order_a, order_b)
-            alt = (len(edges_a), labels_b, labels_a, order_b, order_a)
+            ra, rb = ra[common:len(ra) - tail], rb[common:len(rb) - tail]
+            labels_a = tuple(position[e] for e, _ in ra)
+            labels_b = tuple(position[e] for e, _ in rb)
+            order_a = tuple(declared(e) for e, _ in ra)
+            order_b = tuple(declared(e) for e, _ in rb)
+            key = (len(ra), labels_a, labels_b, order_a, order_b)
+            alt = (len(ra), labels_b, labels_a, order_b, order_a)
             if alt < key:
-                key = alt
-                states_a, states_b = states_b, states_a
-            pair = normal[cell, ma, mb] = (key, states_a, states_b)
+                key, ra, rb = alt, rb, ra
+            pair = divergence[cell, ta, tb] = (key, [w for _, w in ra], [w for _, w in rb])
         if best is None or pair[0] < best[0]:
             best = pair
     (_, labels_a, labels_b, _, _), states_a, states_b = best
@@ -849,10 +826,8 @@ def repair_search(h: Hda, covering: Covering | None = None,
         clash = state.index()
         if clash is not None:
             return Verdict(False, witness=_clash_witness(ue, clash), nodes_explored=1)
-        index = {r: i for i, r in enumerate(ue.reps)}
-        position = {e: index[r] for e, r in ue.rep.items()}   # edge -> label place
         stack.append(iter([root]))
-    normal: dict = {}   # normal forms and pair divergences, see _homotopy_pair
+    divergence: dict = {}   # see _homotopy_pair
     seen: set[tuple[int, ...]] = set()
     while stack:
         part = next(stack[-1], None)
@@ -885,8 +860,7 @@ def repair_search(h: Hda, covering: Covering | None = None,
             for cell in h.grade(0):
                 if state.held[cell] > 1:
                     labels_a, labels_b, states_a, states_b = _homotopy_pair(
-                        h, covering, cell, state.keys[state.span[cell]], normal,
-                        position)
+                        covering, cell, state.keys[state.span[cell]], divergence)
                     pairs.append((labels_a, labels_b))
                     yield len(labels_a), (
                         *(tuple(part[i] for i in events) for events in pairs[-1]),
@@ -919,10 +893,10 @@ def decide_sculptable(h: Hda, oracle: bool = False, max_events: int = 12,
     """Decide whether ``h`` embeds into some bulk, with a certificate.
 
     Pipeline: structural validation, connectivity and orderedness, each
-    checked once, then the path covering, which fails on every cyclic or
-    repeating automaton (only then are non-repeating events checked, for
-    the witness), feeding either the repair search or (with ``oracle``) the
-    exhaustive one.  Positive verdicts carry a validated sculpture; an
+    checked once, then the path covering, whose walk fails on every cyclic
+    or repeating automaton with a shortest sequential path that repeats an
+    event as the witness, feeding either the repair search or (with
+    ``oracle``) the exhaustive one.  Positive verdicts carry a validated sculpture; an
     exhausted repair search is cross-checked exhaustively when small enough
     and flagged heuristic otherwise.
     """

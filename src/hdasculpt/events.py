@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NotConsistentError
-from .precubical import (Hda, Path, PrecubicalSet, Step, _sequential_arcs,
-                         _sequential_cycle)
+from .precubical import (Hda, PrecubicalSet, _sequential_arcs,
+                         _sequential_path)
 
 # A partition of universal-event classes, each part a frozenset of class
 # representatives.
@@ -33,6 +34,12 @@ class UniversalEvents:
 
     def label(self, edge: str) -> str:
         return self.rep[edge]
+
+    @cached_property
+    def position(self) -> Mapping[str, int]:
+        """Each edge's label, as the position of its class in ``reps``."""
+        index = {r: i for i, r in enumerate(self.reps)}
+        return {e: index[r] for e, r in self.rep.items()}
 
     def members(self, rep: str) -> tuple[str, ...]:
         for cls, r in zip(self.classes, self.reps):
@@ -186,72 +193,61 @@ def is_ordered(P, ue: UniversalEvents | None = None):
 # Non-repeating events
 
 
-def _pumped_repeat_witness(h: Hda, ue, arcs, cycle_states: list[str]) -> Path:
-    """A sequential rooted path repeating a label: the shortest sequential
-    route to the cycle's first state, then round the cycle until a label
-    comes back."""
-    target = cycle_states[0]
-    trails: dict = {h.initial: None}   # state -> its trail, see _trail_path
-    queue = deque([h.initial])
-    while target not in trails:
-        v = queue.popleft()
+def _sequential_walk(h: Hda, ue: UniversalEvents):
+    """Breadth first along ``_sequential_arcs`` from the initial state, over
+    keys (state, the bits of the labels started, by ``ue.position``): one
+    key for all the sequential rooted paths that reach a state having
+    started the same labels.
+
+    Every arc starts a label, so every path to a key has one arc per bit,
+    and the keys are reached in that order.  Returns (parents, None), where
+    parents maps each key, in the order reached, to the key before it and
+    the edge of the arc between (None at the root).  At the first arc whose
+    label is already started it returns the parents so far and the route
+    to that arc's key followed by the arc instead: a shortest sequential
+    rooted path that repeats a label, ending on its first repeat.
+    """
+    arcs, position = _sequential_arcs(h), ue.position
+    start = (h.initial, 0)
+    parents: dict = {start: None}
+    reached = [start]
+    for key in reached:   # a queue: the keys are appended as they are reached
+        v, s = key
         for e, w in arcs[v]:
-            if w not in trails:
-                trails[w] = (e, w, trails[v])
-                queue.append(w)
-    steps = list(_trail_path(h.initial, trails[target]).steps)
-    seen = {ue.label(st.target) for st in steps if st.direction == "s"}
-    n = len(cycle_states)
-    for i in range(n + 1):   # one turn and a step repeats a label at the latest
-        v, w = cycle_states[i % n], cycle_states[(i + 1) % n]
-        edge = next(e for e, x in arcs[v] if x == w)
-        steps += (Step("s", 1, edge), Step("t", 1, w))
-        if ue.label(edge) in seen:
-            return Path(h.initial, tuple(steps))
-        seen.add(ue.label(edge))
+            b = 1 << position[e]
+            if s & b:
+                return parents, _sequential_path(
+                    h.initial, [*_walk_route(parents, key), (e, w)])
+            new = (w, s | b)
+            if new not in parents:
+                parents[new] = (key, e)
+                reached.append(new)
+    return parents, None
+
+
+def _walk_route(parents, key) -> list[tuple[str, str]]:
+    """The (edge, next_state) arcs along which ``_sequential_walk`` first
+    reached ``key``."""
+    route = []
+    while (parent := parents[key]) is not None:
+        prev, e = parent
+        route.append((e, key[0]))
+        key = prev
+    route.reverse()
+    return route
 
 
 def has_non_repeating_events(h: Hda, ue: UniversalEvents | None = None):
     """True iff no sequential rooted path sees the same label twice.
 
-    A cycle in the sequential step graph forces a repeat and is reported
-    with a pumped witness path; on acyclic graphs the check is an exact
-    depth-first enumeration pruned on (state, label set) pairs.
+    Otherwise returns (False, a shortest such path), read off
+    ``_sequential_walk``.  A cycle of sequential arcs reached from the
+    initial state always gives one, since going round it repeats a label.
     """
     if ue is None:
         ue = universal_events(h.base)
-    arcs = _sequential_arcs(h)
-    cycle = _sequential_cycle((h.initial,), arcs)
-    if cycle is not None:
-        return False, _pumped_repeat_witness(h, ue, arcs, cycle)
-
-    # depth first over (state, label set) pairs; each entry's trail is the
-    # linked list (edge, state, previous trail) of the arcs that reached it,
-    # read back into a path only for the witness
-    label = ue.rep
-    seen_memo: set[tuple[str, frozenset]] = set()
-    stack: list[tuple[str, frozenset, tuple | None]] = [(h.initial, frozenset(), None)]
-    while stack:
-        v, labels, trail = stack.pop()
-        for e, w in arcs[v]:
-            lab = label[e]
-            if lab in labels:
-                return False, _trail_path(h.initial, (e, w, trail))
-            key = (w, labels | {lab})
-            if key not in seen_memo:
-                seen_memo.add(key)
-                stack.append((*key, (e, w, trail)))
-    return True, None
-
-
-def _trail_path(start: str, trail) -> Path:
-    """The sequential path from ``start`` along a linked trail of arcs."""
-    steps: list[Step] = []
-    while trail is not None:
-        e, w, trail = trail
-        steps += (Step("t", 1, w), Step("s", 1, e))
-    steps.reverse()
-    return Path(start, tuple(steps))
+    witness = _sequential_walk(h, ue)[1]
+    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------

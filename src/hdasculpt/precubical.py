@@ -401,6 +401,12 @@ def _sequential_arcs(h: Hda) -> dict[str, tuple[tuple[str, str], ...]]:
     return {v: tuple(a) for v, a in arcs.items()}
 
 
+def _sequential_path(start: str, arcs) -> Path:
+    """The path from ``start`` up each (edge, next_state) arc and down again."""
+    return Path(start, tuple(step for e, w in arcs
+                             for step in (Step("s", 1, e), Step("t", 1, w))))
+
+
 def _sequential_cycle(roots: Iterable[str], arcs) -> list[str] | None:
     """The states of the first cycle a depth-first search from each of
     ``roots`` in turn closes, from the state it re-enters to the last, or
@@ -582,29 +588,14 @@ def normalize_path(h: Hda, path: Path) -> Path:
 
     First every up-up-down window is rewritten away, which leaves an
     alternating prefix followed by a final climb; then the climb is replaced
-    by the canonical one derived from the iterated-face normal form.
+    by the canonical one, ``_climb``.
     """
     validate_path(h, path)
     if not is_rooted(h, path):
         raise IllegalPathError("normalize_path expects a rooted path")
-    out = _normal_form(h, path)
-    validate_path(h, out)
-    return out
-
-
-def _normal_form(h: Hda, path: Path) -> Path:
-    """``normalize_path`` for a path already known to be legal and rooted."""
-    P = h.base
     steps = list(path.steps)
-
-    def cells_of(ss):
-        out = [path.start]
-        for st in ss:
-            out.append(st.target)
-        return out
-
     while True:
-        cs = cells_of(steps)
+        cs = path.start, *(st.target for st in steps)
         pos = next((i for i in range(len(steps) - 2)
                     if steps[i].direction == "s"
                     and steps[i + 1].direction == "s"
@@ -619,20 +610,25 @@ def _normal_form(h: Hda, path: Path) -> Path:
             new_pair = _pair_rewrites(h, cs[pos + 1], steps[pos + 1], steps[pos + 2])[0]
             steps[pos + 1], steps[pos + 2] = new_pair
 
-    # steps now alternate s t .. s t followed by a final run of s-steps
+    # steps now alternate s t .. s t from a vertex to a vertex, followed by
+    # a final run of s-steps
     run_start = len(steps)
     while run_start > 0 and steps[run_start - 1].direction == "s":
         run_start -= 1
-    run = steps[run_start:]
-    if len(run) >= 2:
-        q = run[-1].target
-        n = P.dim(q)
-        chain = [q]
-        for j in range(n, 1, -1):
-            chain.append(P.s(chain[-1], j))
-        chain.reverse()  # chain[m-1] has dimension m, reached by s_m
-        run = [Step("s", m, chain[m - 1]) for m in range(1, n + 1)]
-    return Path(path.start, tuple(steps[:run_start] + run))
+    steps[run_start:] = _climb(h.base, path.end())
+    out = Path(path.start, tuple(steps))
+    validate_path(h, out)
+    return out
+
+
+def _climb(P: PrecubicalSet, q: str) -> tuple[Step, ...]:
+    """The canonical climb s_1 s_2 .. s_n into the n-cell ``q`` from its
+    bottom vertex: the m-th step enters s_{m+1} .. s_n(q) by s_m."""
+    steps = []
+    for m in range(P.dim(q), 0, -1):
+        steps.append(Step("s", m, q))
+        q = P.s(q, m)
+    return tuple(reversed(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,21 @@ def test_check_and_cover_read_pv_build_output(tmp_path, capsys, command):
     assert run_cli(capsys, command, str(hda_path)) == (0, out)
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot", "tikz"])
+def test_export_reads_pv_build_output(tmp_path, capsys, fmt):
+    pv_path = tmp_path / "mutex3.pv"
+    pv_path.write_text("P(a) V(a)\n" * 3)
+    code, built = run_cli(capsys, "pv", "build", str(pv_path))
+    assert code == 0
+    path = tmp_path / "mutex3.json"
+    path.write_text(built)
+    hda_path = tmp_path / "hda.json"
+    hda_path.write_text(json.dumps(json.loads(built)["hda"]))
+    code, out = run_cli(capsys, "export", str(path), "--format", fmt)
+    assert code == 0 and out
+    assert run_cli(capsys, "export", str(hda_path), "--format", fmt) == (0, out)
+
+
 def test_check_into_a_closed_pipe_exits_2_quietly(tmp_path):
     # a reader that has gone, as with `check g.json | head -1`: the verdict
     # never reaches it, which is an error, not "not sculptable"

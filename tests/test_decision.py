@@ -63,10 +63,10 @@ def test_covering_requires_the_preconditions():
 
 
 def test_the_covering_fails_on_every_cyclic_automaton():
-    # going round a step cycle twice restarts its events, so the covering
-    # raises on every connected cyclic automaton, and only then looks for a
-    # sequential path that repeats an event, which a cycle always gives:
-    # ab_loop, and random complexes with a vertex merged into one it reaches
+    # a step cycle gives a cycle of sequential arcs, and going round it
+    # repeats an event, so the covering's walk raises on every connected
+    # cyclic automaton, with the non-repeating check's path: ab_loop, and
+    # random complexes with a vertex merged into one it reaches
     import random
 
     from hdasculpt import has_non_repeating_events
@@ -99,6 +99,12 @@ def test_covering_witnesses_are_legal_and_agree_with_configs():
                 w = cov.witness(cell, cfg)
                 validate_path(h, w)
                 assert w.end() == cell
+    # a configuration the cell does not have, whose terminated events are
+    # one of its configurations'
+    cov = path_covering(corpus.empty_square())
+    done = cov.configs["F"][0].terminated
+    with pytest.raises(KeyError):
+        cov.witness("F", StConfig(done | set(cov.ue.reps), done))
 
 
 def test_homotopy_invariance_of_configs():
@@ -167,7 +173,7 @@ def test_active_events_and_new_event_laws():
 
 
 def _reference_covering(h):
-    """The covering as ``path_covering`` documents it, on StConfigs: a
+    """The configurations of all rooted paths, per cell, on StConfigs: a
     breadth-first fixpoint over (cell, configuration) pairs in which an
     s_k-step into q starts the k-th running event of q and a t_k-step out
     of q terminates it, taking the s-steps by coface in declaration order,
@@ -213,8 +219,59 @@ def test_covering_equals_a_plain_stconfig_reference():
         except HdaError:
             continue
         want = _reference_covering(h)
-        assert cov.configs == want
+        assert {c: set(cs) for c, cs in cov.configs.items()} \
+            == {c: set(cs) for c, cs in want.items()}
+        assert all(len(set(cs)) == len(cs) for cs in cov.configs.values())
         assert cov.structure.configs == frozenset(c for cs in want.values() for c in cs)
+        checked += 1
+    assert checked > 60
+
+
+def _reference_covering_order(h):
+    """Each cell's configurations in the order the covering lists them.
+
+    A breadth-first search over (vertex, labels started) pairs, taking a
+    vertex's edges in declaration order up and down again, lists each
+    vertex's; a cell lists its bottom vertex's, in that order, with its own
+    events started."""
+    ue = universal_events(h.base)
+    start = (h.initial, frozenset())
+    order, seen = [start], {start}
+    for v, labels in order:
+        for e in h.grade(1):
+            if h.s(e, 1) == v:
+                key = (h.t(e, 1), labels | {ue.label(e)})
+                if key not in seen:
+                    seen.add(key)
+                    order.append(key)
+    at = {v: [labels for w, labels in order if w == v] for v in h.grade(0)}
+    out = {}
+    for c in h.all_cells():
+        bottom = c
+        while h.dim(bottom):
+            bottom = h.s(bottom, 1)
+        own = frozenset(multilabel(h.base, c, ue))
+        out[c] = tuple(StConfig(labels | own, labels) for labels in at[bottom])
+    return out
+
+
+def test_the_covering_lists_configurations_in_walk_order():
+    # a vertex lists its configurations in the order the walk reaches them,
+    # and a cell in its bottom vertex's order: the repair search pairs each
+    # conflict's first configuration with the others, so this order decides
+    # which repair it tries first
+    from hdasculpt import parse_pv, pv_to_complex
+    from hdasculpt.randgen import random_hda_batch
+    automata = [f.build() for f in corpus.fixtures()]
+    automata += random_hda_batch(7, 60, max_events=10)
+    automata += [pv_to_complex(parse_pv(text)).hda for text in (TWO_MUTEX, "P(a) V(a)\n" * 4)]
+    checked = 0
+    for h in automata:
+        try:
+            cov = path_covering(h)
+        except HdaError:
+            continue
+        assert cov.configs == _reference_covering_order(h)
         checked += 1
     assert checked > 60
 
@@ -1033,15 +1090,14 @@ PINNED_EMBEDDINGS = {
         d2:x001 d3:x000 d4:x010"""),
     "two_mutex": (8, """
         0,0:00000000 0,0s:0x000000 0,1:01000000 0,1s:01x00000 0,2:01100000
-        0,2s:011x0000 0,3:01110000 0,3s:01110x00 0,4:01110100 0s,0:x0000000
-        0s,0s:xx000000 0s,1:x1000000 0s,3:0111x000 0s,3s:0111xx00
-        0s,4:0111x100 1,0:10000000 1,0s:1x000000 1,1:11000000 1,3:01111000
-        1,3s:01111x00 1,4:01111100 1s,0:10x00000 1s,4:011111x0 2,0:10100000
-        2,4:01111110 2s,0:1x100000 2s,4:0111111x 3,0:11100000 3,0s:1110x000
-        3,1:11101000 3,4:01111111 3s,0:111x0000 3s,0s:111xx000
-        3s,1:111x1000 3s,4:x1111111 4,0:11110000 4,0s:1111x000 4,1:11111000
-        4,1s:11111x00 4,2:11111100 4,2s:111111x0 4,3:11111110
-        4,3s:1111111x 4,4:11111111"""),
+        0,2s:01100x00 0,3:01100100 0,3s:0110x100 0,4:01101100 0s,0:x0000000
+        0s,0s:xx000000 0s,1:x1000000 0s,3:011x0100 0s,3s:011xx100
+        0s,4:011x1100 1,0:10000000 1,0s:1x000000 1,1:11000000 1,3:01110100
+        1,3s:0111x100 1,4:01111100 1s,0:10x00000 1s,4:011111x0 2,0:10100000
+        2,4:01111110 2s,0:1x100000 2s,4:0111111x 3,0:11100000 3,0s:11100x00
+        3,1:11100100 3,4:01111111 3s,0:1110x000 3s,0s:1110xx00 3s,1:1110x100
+        3s,4:x1111111 4,0:11101000 4,0s:11101x00 4,1:11101100 4,1s:111x1100
+        4,2:11111100 4,2s:111111x0 4,3:11111110 4,3s:1111111x 4,4:11111111"""),
 }
 
 
@@ -1075,14 +1131,21 @@ def _table_cases():
             *(make_grid(*sizes) for sizes in WORKLOADS.GRID_SIZES)]
 
 
-def test_covering_bits_equal_the_multilabels():
-    from hdasculpt.decision import _event_bits
+def test_cell_tables_equal_the_faces_and_multilabels():
+    # a cell's bottom vertex is reached by taking s_1-faces, or s_n-faces,
+    # down to dimension 0, and its events are the bits of its multilabel
+    from hdasculpt.decision import _cell_tables
     for h in _table_cases():
         ue = universal_events(h.base)
-        index = {r: i for i, r in enumerate(ue.reps)}
-        want = {c: tuple(1 << index[lab] for lab in multilabel(h.base, c, ue))
-                for c in h.all_cells()}
-        assert _event_bits(h.base, ue, index) == want
+        bottom, own = _cell_tables(h.base, ue)
+        for c in h.all_cells():
+            first = last = c
+            while h.dim(first):
+                first, last = h.s(first, 1), h.s(last, h.dim(last))
+            assert bottom[c] == first == last
+            labels = set(multilabel(h.base, c, ue))
+            assert own[c] == sum(1 << ue.reps.index(lab) for lab in labels)
+        assert set(bottom) == set(own) == set(h.all_cells())
 
 
 def _reference_images(events, keys):

@@ -215,69 +215,117 @@ def test_variant_preserves_the_path_count():
 
 
 def _reference_non_repeating(h, ue):
-    """``has_non_repeating_events`` as it was first written: a recursive
-    cycle search, then a search carrying each route as a ``Path``."""
-    from hdasculpt.events import _pumped_repeat_witness, _sequential_arcs
-    from hdasculpt.precubical import Path
+    """``has_non_repeating_events``'s answer as it was before it shared the
+    covering's walk: False when a cycle of sequential arcs is reached from
+    the initial state, else a depth-first search over (state, label set)
+    pairs for a repeat."""
+    from hdasculpt.precubical import _sequential_arcs, _sequential_cycle
     arcs = _sequential_arcs(h)
-    color: dict = {}
-    stack_path: list = []
-
-    def visit(v):
-        color[v] = 1
-        stack_path.append(v)
-        for e, w in arcs[v]:
-            if color.get(w, 0) == 1:
-                return stack_path[stack_path.index(w):]
-            if color.get(w, 0) == 0:
-                cyc = visit(w)
-                if cyc is not None:
-                    return cyc
-        stack_path.pop()
-        color[v] = 2
-        return None
-
-    cycle = visit(h.initial)
-    if cycle is not None:
-        return False, _pumped_repeat_witness(h, ue, arcs, cycle)
+    if _sequential_cycle((h.initial,), arcs) is not None:
+        return False
     seen_memo = set()
-    stack = [(h.initial, frozenset(), Path(h.initial))]
+    stack = [(h.initial, frozenset())]
     while stack:
-        v, labels, path = stack.pop()
+        v, labels = stack.pop()
         for e, w in arcs[v]:
             lab = ue.label(e)
-            ext = path.extend("s", 1, e).extend("t", 1, w)
             if lab in labels:
-                return False, ext
+                return False
             key = (w, labels | {lab})
             if key not in seen_memo:
                 seen_memo.add(key)
-                stack.append((w, labels | {lab}, ext))
-    return True, None
+                stack.append(key)
+    return True
 
 
-def test_non_repeating_equals_the_recursive_search():
-    # the corpus, a random batch, and the batch with seeded vertex pairs
-    # identified: merging a vertex with one it reaches pumps a cycle
+def _shortest_repeat(h, ue):
+    """The fewest arcs of a sequential rooted path that repeats a label,
+    or None, by a memoized recursion over (state, label set) pairs."""
+    import functools
+
+    from hdasculpt.precubical import _sequential_arcs
+    arcs = _sequential_arcs(h)
+
+    @functools.lru_cache(maxsize=None)
+    def fewest(v, labels):
+        best = float("inf")
+        for e, w in arcs[v]:
+            lab = ue.label(e)
+            best = min(best, 1 if lab in labels else 1 + fewest(w, labels | {lab}))
+        return best
+
+    n = fewest(h.initial, frozenset())
+    return None if n == float("inf") else n
+
+
+def _non_repeating_cases():
+    """The corpus, 3,000 seeded random complexes each with two vertices
+    merged (one reaching the other pumps a cycle), and every candidate the
+    random generator checks for repeats, the rejected ones too."""
     import random
 
-    from hdasculpt.randgen import _merge_vertices, random_hda_batch
-    rng = random.Random(5)
-    batch = random_hda_batch(7, 60, max_events=10)
-    cases = [f.build() for f in corpus.fixtures()] + batch
-    for h in batch:
-        for _ in range(3 if len(h.grade(0)) > 1 else 0):
-            keep, drop = rng.sample(h.grade(0), 2)
-            cases.append(_merge_vertices(h, keep, drop))
+    from hdasculpt import randgen
+    from hdasculpt.precubical import validate_hda
+    from hdasculpt.randgen import _merge_vertices, _random_complex_hda
+    cases = [f.build() for f in corpus.fixtures()]
+    rng = random.Random(2026)
+    merged = 0
+    while merged < 3000:
+        h = _random_complex_hda(rng)
+        if len(h.grade(0)) > 1:
+            h = _merge_vertices(h, *rng.sample(h.grade(0), 2))
+            if validate_hda(h).ok:
+                cases.append(h)
+                merged += 1
+    checked = []
+
+    def recording(h, ue=None):
+        checked.append(h)
+        return has_non_repeating_events(h, ue)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(randgen, "has_non_repeating_events", recording)
+        randgen.random_hda_batch(7, 300, max_events=10)
+        randgen.random_hda_batch(3, 300, max_events=12)
+    return cases + checked
+
+
+def test_non_repeating_equals_the_memo_search():
+    # agreement with the search it replaced, a legal sequential witness
+    # that ends on its first repeated label and is a shortest one, and a
+    # covering that raises exactly on the repeating connected automata
+    from hdasculpt import RepeatingEventsError, is_connected, path_covering
+    from hdasculpt.precubical import validate_hda
     outcomes = collections.Counter()
-    for h in cases:
+    for h in _non_repeating_cases():
         ue = universal_events(h.base)
-        got = has_non_repeating_events(h, ue)
-        assert got == _reference_non_repeating(h, ue)
-        cyclic = not got[0] and len(set(got[1].cells())) < len(got[1].cells())
-        outcomes[got[0], cyclic] += 1
-    # non-repeating, a repeat on an acyclic graph, and a pumped cycle
-    assert min(outcomes[key] for key in [(True, False), (False, False), (False, True)]) >= 5
+        ok, witness = has_non_repeating_events(h, ue)
+        assert ok == _reference_non_repeating(h, ue)
+        if validate_hda(h).ok and is_connected(h):
+            try:
+                path_covering(h, ue)
+            except RepeatingEventsError as exc:
+                assert not ok and exc.path == witness
+            else:
+                assert ok
+        if ok:
+            assert witness is None and _shortest_repeat(h, ue) is None
+            outcomes["non-repeating"] += 1
+            continue
+        validate_path(h, witness)
+        assert witness.start == h.initial
+        assert [(st.direction, st.index) for st in witness.steps] \
+            == [("s", 1), ("t", 1)] * (len(witness.steps) // 2)
+        labels = [ue.label(st.target) for st in witness.steps[::2]]
+        assert len(set(labels[:-1])) == len(labels) - 1 and labels[-1] in labels[:-1]
+        assert len(labels) == _shortest_repeat(h, ue)
+        cyclic = len(set(witness.cells())) < len(witness.cells())
+        outcomes["cycle" if cyclic else "repeat"] += 1
+    assert min(outcomes.values()) >= 50 and len(outcomes) == 3
+    # the decision stops both at orderedness, before the covering
+    with pytest.raises(RepeatingEventsError):
+        path_covering(corpus.collapsed_square())
+    assert path_covering(corpus.three_squares()).masks
 
 
 def test_non_repeating_on_a_long_chain():

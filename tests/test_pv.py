@@ -25,10 +25,10 @@ PARTITIONS = {
     "two_mutex": [
         "0,0s 1,0s 2s,0",
         "0,1s 1s,0",
-        "0,2s 3s,0 3s,1",
-        "0,3s 1,3s 4,1s",
+        "0,2s 3,0s 4,0s",
+        "0,3s 1,3s 3s,0 3s,1",
         "0s,0 0s,1 3s,4",
-        "0s,3 0s,4 3,0s 4,0s",
+        "0s,3 0s,4 4,1s",
         "1s,4 4,2s",
         "2s,4 4,3s",
     ],
@@ -37,37 +37,36 @@ PARTITIONS = {
         "0,1s 4,1s 5,1s 6,1s",
         "0,2s 4,2s 5,2s 6,2s",
         "0,3s 1,3s 4,3s 5,3s 6,3s",
-        "0,4s 1,4s 2,4s 3,4s 4,4s 5s,0 5s,1 5s,2 5s,3 5s,4",
-        "0,5s 1,5s 2,5s 3,5s 4,5s 6,4s",
+        "0,4s 1,4s 2,4s 3,4s 4,4s 6,5s",
+        "0,5s 1,5s 2,5s 3,5s 4,5s 4s,0 4s,1 4s,2 4s,3 4s,4",
         "0s,0 0s,1 0s,3 0s,4 0s,5 0s,6",
         "1s,0 1s,4 1s,5 1s,6",
         "2s,0 2s,4 2s,5 2s,6",
         "3s,0 3s,1 3s,4 3s,5 3s,6",
-        "4s,0 4s,1 4s,2 4s,3 4s,4 5s,6",
-        "4s,6 6,5s",
+        "4s,6 5s,0 5s,1 5s,2 5s,3 5s,4",
+        "5s,6 6,4s",
     ],
     "ring3": [
-        ("0,0,0s 0,1,0s 0,4,0s 1,0,0s 1,1,0s 1,4,0s 2,0,0s 2,4,0s 3,0,0s "
-         "3,4,0s 4,0,0s 4,1,0s 4,4,0s"),
+        ("0,0,0s 0,1,0s 0,3s,0 1,0,0s 1,1,0s 1,3s,0 2,0,0s 2,3s,0 3,0,0s "
+         "3,3s,0 4,0,0s 4,1,0s 4,3s,0"),
         "0,0,1s 0,1,1s 0,1s,0 1,1s,0 1s,0,0 1s,0,1",
-        "0,0,2s 0,1,2s 0,2s,0 1,2s,0 2s,0,0 2s,0,1",
-        ("0,0,3s 0,1,3s 0,2,3s 0,3,3s 0,4,3s 3,0,1s 3,4,1s 4,0,1s 4,1,1s "
-         "4,4,1s"),
-        ("0,0s,0 0,0s,1 0,0s,2 0,0s,3 0,0s,4 1,0s,0 1,0s,1 1,0s,4 4,1s,0 "
-         "4,1s,3 4,1s,4"),
-        ("0,1s,3 0,1s,4 0,4,2s 0s,0,0 0s,0,1 0s,1,0 0s,1,1 0s,2,0 0s,3,0 "
-         "0s,4,0 0s,4,1 1,1s,4 2s,0,4"),
-        ("0,2s,3 0,2s,4 0,4,1s 1,2s,4 1s,0,4 3,0,3s 3,4,3s 4,0,3s 4,1,3s "
+        "0,0,2s 0,1,2s 0,4,1s 2s,0,0 2s,0,1 2s,3,0 2s,4,0 2s,4,1",
+        ("0,0,3s 0,1,3s 0,2,3s 0,3,3s 0,4,3s 3,0,3s 3,4,3s 4,0,3s 4,1,3s "
          "4,2,3s 4,3,3s 4,4,3s"),
-        ("0,3s,0 0,3s,3 0,3s,4 1,3s,0 1,3s,4 2,3s,0 2,3s,4 3,3s,0 3,3s,4 "
-         "4,3s,0 4,3s,3 4,3s,4"),
-        ("0s,0,4 0s,1,4 0s,2,4 0s,3,4 0s,4,4 2s,3,0 2s,4,0 2s,4,1 3,0,2s "
+        ("0,0s,0 0,0s,1 0,0s,2 0,0s,3 0,0s,4 1,0s,0 1,0s,1 1,0s,4 3s,0,0 "
+         "3s,0,1 3s,0,2 3s,0,3 3s,0,4"),
+        ("0,1s,3 0,1s,4 0,2s,0 1,1s,4 1,2s,0 4,0s,0 4,0s,1 4,0s,2 4,0s,3 "
+         "4,0s,4"),
+        ("0,2s,3 0,2s,4 0,4,2s 1,2s,4 1s,3,0 1s,4,0 1s,4,1 2s,0,4 3,0,2s "
          "4,0,2s 4,1,2s 4,2s,0"),
-        ("1s,3,0 1s,3,4 1s,4,0 1s,4,1 1s,4,4 3s,0,0 3s,0,1 3s,0,2 3s,0,3 "
-         "3s,0,4"),
-        "2s,3,4 2s,4,4 3,4,2s 4,2s,3 4,2s,4 4,4,2s",
-        ("3s,3,0 3s,3,4 3s,4,0 3s,4,1 3s,4,2 3s,4,3 3s,4,4 4,0s,0 4,0s,1 "
-         "4,0s,2 4,0s,3 4,0s,4"),
+        ("0,3s,3 0,3s,4 0,4,0s 1,3s,4 1,4,0s 2,3s,4 2,4,0s 3,3s,4 3,4,0s "
+         "4,3s,3 4,3s,4 4,4,0s"),
+        ("0s,0,0 0s,0,1 0s,0,4 0s,1,0 0s,1,1 0s,1,4 0s,2,0 0s,2,4 0s,3,0 "
+         "0s,3,4 0s,4,0 0s,4,1 0s,4,4"),
+        "1s,0,4 2s,3,4 2s,4,4 3,0,1s 3,4,2s 4,0,1s 4,1,1s 4,4,2s",
+        "1s,3,4 1s,4,4 3,4,1s 4,2s,3 4,2s,4 4,4,1s",
+        ("3s,3,0 3s,3,4 3s,4,0 3s,4,1 3s,4,2 3s,4,3 3s,4,4 4,1s,0 4,1s,3 "
+         "4,1s,4"),
     ],
     "mutex4": [
         "0,0,0,0s 0,0,1s,0 0,1s,0,0 1s,0,0,0",
