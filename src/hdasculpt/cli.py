@@ -43,6 +43,15 @@ def _load_hda(path: str):
     return hda_from_json(data)
 
 
+def _load_valid_hda(path: str):
+    """``_load_hda``, raising InvalidStructureError unless the HDA is valid."""
+    h = _load_hda(path)
+    report = validate_hda(h)
+    if not report.ok:
+        raise InvalidStructureError(str(report), report)
+    return h
+
+
 def _error(exc) -> int:
     _emit({"error": type(exc).__name__, "message": str(exc)})
     return 2
@@ -57,10 +66,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    h = _load_hda(args.input)
-    report = validate_hda(h)
-    if not report.ok:
-        raise InvalidStructureError(str(report), report)
+    h = _load_valid_hda(args.input)
     _emit(st_to_json(path_covering(h).structure))
     return 0
 
@@ -130,7 +136,7 @@ def _cmd_corpus_export(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    h = _load_hda(args.input)
+    h = _load_valid_hda(args.input)
     if args.format == "dot":
         print(to_dot(h))
     elif args.format == "tikz":

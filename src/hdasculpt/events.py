@@ -14,8 +14,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NotConsistentError
-from .precubical import (Hda, PrecubicalSet, _sequential_arcs,
-                         _sequential_path)
+from .precubical import Hda, PrecubicalSet, _sequential_path
 
 # A partition of universal-event classes, each part a frozenset of class
 # representatives.
@@ -194,7 +193,7 @@ def is_ordered(P, ue: UniversalEvents | None = None):
 
 
 def _sequential_walk(h: Hda, ue: UniversalEvents):
-    """Breadth first along ``_sequential_arcs`` from the initial state, over
+    """Breadth first along the sequential arcs from the initial state, over
     keys (state, the bits of the labels started, by ``ue.position``): one
     key for all the sequential rooted paths that reach a state having
     started the same labels.
@@ -207,7 +206,7 @@ def _sequential_walk(h: Hda, ue: UniversalEvents):
     to that arc's key followed by the arc instead: a shortest sequential
     rooted path that repeats a label, ending on its first repeat.
     """
-    arcs, position = _sequential_arcs(h), ue.position
+    arcs, position = h.base.sequential_arcs, ue.position
     start = (h.initial, 0)
     parents: dict = {start: None}
     reached = [start]

@@ -131,7 +131,7 @@ class PrecubicalSet:
     def face(self, alpha: str, k: int, cell: str) -> str:
         return self.s(cell, k) if alpha == "s" else self.t(cell, k)
 
-    # -- the step graph, built on first read ------------------------------
+    # -- derived tables, built on first read ------------------------------
 
     @cached_property
     def cofaces(self) -> dict[str, tuple[tuple[int, str], ...]]:
@@ -147,11 +147,15 @@ class PrecubicalSet:
         return {c: tuple(v) for c, v in idx.items()}
 
     @cached_property
-    def successors(self) -> dict[str, tuple[str, ...]]:
-        """Directed step graph: s-steps go up into cofaces, t-steps down to t-faces."""
-        dim_of, t_faces = self._dim_of, self.t_faces
-        return {c: (*(q for _, q in ups), *(t_faces[c] if dim_of[c] else ()))
-                for c, ups in self.cofaces.items()}
+    def sequential_arcs(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """state -> ((edge, next_state), ..) for steps up an edge and down again."""
+        arcs: dict[str, list[tuple[str, str]]] = {v: [] for v in self.grade(0)}
+        s_faces, t_faces = self.s_faces, self.t_faces
+        for e in self.grade(1):
+            v = s_faces[e][0]
+            if v in arcs:
+                arcs[v].append((e, t_faces[e][0]))
+        return {v: tuple(a) for v, a in arcs.items()}
 
     @cached_property
     def universal_events(self):
@@ -363,21 +367,34 @@ def is_non_selflinked(P: PrecubicalSet):
 # Steps, reachability, cycles
 
 
-def reachable_cells(h: Hda) -> set[str]:
-    succ = h.base.successors
+def _reached_states(h: Hda) -> set[str]:
+    arcs = h.base.sequential_arcs
     seen = {h.initial}
     stack = [h.initial]
     while stack:
-        c = stack.pop()
-        for nxt in succ[c]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+        for _, w in arcs[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def reachable_cells(h: Hda) -> set[str]:
+    """The cells that steps reach from the initial state: the states that
+    the sequential arcs reach, then, in dimension order, each cell whose
+    s_1-face is reached.  Requires the face identities (a valid ``h``), by
+    which a cell's bottom vertex is its s_1-face's, an s-step keeps it and
+    a t-step moves it one sequential arc on."""
+    seen = _reached_states(h)
+    for n in range(1, h.dimension + 1):
+        seen.update(q for q in h.grade(n) if h.base.s_faces[q][0] in seen)
     return seen
 
 
 def is_connected(h: Hda) -> bool:
-    return len(reachable_cells(h)) == h.base.size()
+    """True iff steps from the initial state reach every cell; requires the
+    face identities, by which every state reached is enough."""
+    return len(_reached_states(h)) == len(h.grade(0))
 
 
 def restrict_to_reachable(h: Hda) -> Hda:
@@ -388,17 +405,6 @@ def restrict_to_reachable(h: Hda) -> Hda:
     s = {c: h.base.s_faces[c] for c in keep if h.base.dim(c) >= 1}
     t = {c: h.base.t_faces[c] for c in keep if h.base.dim(c) >= 1}
     return Hda(PrecubicalSet(cells, s, t), h.initial)
-
-
-def _sequential_arcs(h: Hda) -> dict[str, tuple[tuple[str, str], ...]]:
-    """state -> ((edge, next_state), ..) for steps up an edge and down again."""
-    arcs: dict[str, list[tuple[str, str]]] = {v: [] for v in h.grade(0)}
-    s_faces, t_faces = h.base.s_faces, h.base.t_faces
-    for e in h.grade(1):
-        v = s_faces[e][0]
-        if v in arcs:
-            arcs[v].append((e, t_faces[e][0]))
-    return {v: tuple(a) for v, a in arcs.items()}
 
 
 def _sequential_path(start: str, arcs) -> Path:
@@ -442,14 +448,12 @@ def _sequential_cycle(roots: Iterable[str], arcs) -> list[str] | None:
 def is_acyclic(h: Hda):
     """True iff no two distinct cells are mutually step-reachable.
 
-    Requires the face identities (a valid ``h``).  Then an s-step's source
-    and target have the same bottom vertex, and a t-step's target has its
-    bottom vertex one sequential arc (up an edge and down again) beyond
-    its source's, so the steps have a cycle exactly when the sequential
-    arcs do.  On failure returns (False, (v, e)): a vertex v on the first
-    such cycle found, and the edge e leaving it on that cycle.
+    Requires the face identities (a valid ``h``), by which the steps have a
+    cycle exactly when the sequential arcs do (``reachable_cells``).  On
+    failure returns (False, (v, e)): a vertex v on the first such cycle
+    found, and the edge e leaving it on that cycle.
     """
-    arcs = _sequential_arcs(h)
+    arcs = h.base.sequential_arcs
     cycle = _sequential_cycle(arcs, arcs)
     if cycle is None:
         return True, None
@@ -673,20 +677,22 @@ def _json_mismatch(data, shape):
     if isinstance(shape, list):
         if not isinstance(data, list):
             return "", "a list"
-        children, fmt = enumerate(zip(data, shape * len(data))), "[{}]"
+        if shape[0] is str and all(isinstance(x, str) for x in data):
+            return None   # the common list, checked without a walk
+        children, fmt = zip(range(len(data)), data, shape * len(data)), "[{}]"
     elif isinstance(shape, tuple):
         if not isinstance(data, list) or len(data) != len(shape):
             return "", f"a list of {len(shape)}"
-        children, fmt = enumerate(zip(data, shape)), "[{}]"
+        children, fmt = zip(range(len(shape)), data, shape), "[{}]"
     elif not isinstance(data, dict):
         return "", "an object"
     elif str in shape:
-        children = ((name, (x, shape[str])) for name, x in data.items())
+        children = ((name, x, shape[str]) for name, x in data.items())
         fmt = '["{}"]'
     else:
-        children = ((key, (data.get(key), value)) for key, value in shape.items())
+        children = ((key, data.get(key), value) for key, value in shape.items())
         fmt = ".{}"
-    for step, (x, item) in children:
+    for step, x, item in children:
         if item is str and isinstance(x, str):
             continue   # the common leaf, checked without a call
         bad = _json_mismatch(x, item)

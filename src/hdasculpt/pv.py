@@ -22,6 +22,7 @@ from .precubical import restrict_to_reachable
 
 _TOKEN = re.compile(r"(?P<kind>[PV])\((?P<name>[A-Za-z_][A-Za-z0-9_]*)\)$")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_WORD = re.compile(r"\S+")
 
 
 class PvAction(NamedTuple):
@@ -38,6 +39,7 @@ class PvProgram:
 def parse_pv(text: str) -> PvProgram:
     """Parse a PV program; errors carry 1-based line and column positions."""
     resources: dict[str, float] = {}
+    declared: set[str] = set()   # the names of the resource lines so far
     processes: list[tuple[PvAction, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -48,9 +50,13 @@ def parse_pv(text: str) -> PvProgram:
             if len(parts) != 4 or parts[2] != "capacity":
                 raise PvSyntaxError("expected 'resource <name> capacity <k>'",
                                     lineno, 1)
-            if not _NAME.match(parts[1]):
-                raise PvSyntaxError(f"bad resource name {parts[1]!r}", lineno,
-                                    line.index(parts[1]) + 1)
+            name, cols = parts[1], [m.start() + 1 for m in _WORD.finditer(line)]
+            if not _NAME.match(name):
+                raise PvSyntaxError(f"bad resource name {name!r}", lineno, cols[1])
+            if name in declared:
+                raise PvSyntaxError(f"resource {name!r} declared twice", lineno,
+                                    cols[1])
+            declared.add(name)
             if parts[3] == "inf":
                 cap: float = float("inf")
             else:
@@ -58,11 +64,11 @@ def parse_pv(text: str) -> PvProgram:
                     cap = int(parts[3])
                 except ValueError:
                     raise PvSyntaxError(f"bad capacity {parts[3]!r}", lineno,
-                                        line.index(parts[3]) + 1) from None
+                                        cols[3]) from None
                 if cap < 1:
                     raise PvSyntaxError("capacity must be positive", lineno,
-                                        line.index(parts[3]) + 1)
-            resources[parts[1]] = cap
+                                        cols[3])
+            resources[name] = cap
             continue
         actions: list[PvAction] = []
         col = 1

@@ -89,7 +89,12 @@ def _random_dag_hda(rng: random.Random, max_edges: int) -> Hda:
 
 
 def random_hda(rng: random.Random, max_events: int = 6) -> Hda:
-    """One connected, acyclic, non-repeating automaton, at most max_events labels."""
+    """One connected, acyclic, non-repeating automaton, at most max_events labels.
+
+    Raises ValueError for a negative ``max_events``, which no candidate meets.
+    """
+    if max_events < 0:
+        raise ValueError(f"max_events must not be negative, got {max_events}")
     while True:
         try:
             style = rng.random()
@@ -115,5 +120,11 @@ def random_hda(rng: random.Random, max_events: int = 6) -> Hda:
 
 
 def random_hda_batch(seed: int, count: int, max_events: int = 6) -> list[Hda]:
+    """``count`` automata of ``random_hda`` from ``seed``; raises ValueError
+    for a negative ``count`` or ``max_events`` before any is drawn."""
+    if count < 0:
+        raise ValueError(f"count must not be negative, got {count}")
+    if max_events < 0:
+        raise ValueError(f"max_events must not be negative, got {max_events}")
     rng = random.Random(seed)
     return [random_hda(rng, max_events) for _ in range(count)]

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, JSON round-trips, rendering."""
 
 import json
+import random
+import types
 
 import pytest
 
@@ -98,14 +100,20 @@ def test_cover_command(tmp_path, capsys):
 @pytest.mark.parametrize("table, cell, faces, kind", [
     ("s", "q", ["l"], "face_count"),
     ("t", "r", ["zz"], "dangling_face"),
-], ids=["one_s_face", "dangling_t_face"])
-@pytest.mark.parametrize("command", ["check", "cover"])
+    ("s", "l", [], "face_count"),
+], ids=["one_s_face", "dangling_t_face", "edge_without_s_face"])
+@pytest.mark.parametrize("command", [
+    ("check",), ("cover",), ("export",), ("export", "--format", "dot"),
+    ("export", "--format", "tikz"),
+], ids=["check", "cover", "export", "export_dot", "export_tikz"])
 def test_invalid_hda_exits_2(tmp_path, capsys, command, table, cell, faces, kind):
+    # each command validates before it writes anything: no traceback from
+    # the renderers and no drawing of an invalid automaton
     data = hda_to_json(corpus.filled_square())
     data[table][cell] = faces
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    code, out = run_cli(capsys, command, str(path))
+    code, out = run_cli(capsys, *command, str(path))
     assert code == 2
     error = json.loads(out)
     assert error["error"] == "InvalidStructureError"
@@ -189,6 +197,46 @@ def test_random_command_is_seeded(capsys):
     assert code == code2 == 0
     assert out1 == out2
     assert len(json.loads(out1)) == 2
+
+
+class _NoDraws(random.Random):
+    """A generator that fails the test at its first draw, so that a
+    negative bound is seen to raise before any candidate is drawn."""
+
+    def random(self):
+        raise AssertionError("a candidate was drawn")
+
+
+def test_random_rejects_a_negative_bound_before_drawing(monkeypatch):
+    from hdasculpt import randgen
+    with pytest.raises(ValueError, match="max_events"):
+        randgen.random_hda(_NoDraws(), max_events=-1)
+    monkeypatch.setattr(randgen, "random", types.SimpleNamespace(Random=_NoDraws))
+    with pytest.raises(ValueError, match="count"):
+        randgen.random_hda_batch(0, -3)
+    with pytest.raises(ValueError, match="max_events"):
+        randgen.random_hda_batch(0, 0, max_events=-1)
+    assert randgen.random_hda_batch(0, 0) == []
+
+
+@pytest.mark.parametrize("flags", [("--max-events", "-1"), ("--count", "-3")],
+                         ids=["max_events", "count"])
+def test_random_command_with_a_negative_bound_exits_2(monkeypatch, capsys, flags):
+    from hdasculpt import randgen
+    monkeypatch.setattr(randgen, "random", types.SimpleNamespace(Random=_NoDraws))
+    code, out = run_cli(capsys, "random", *flags)
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+
+
+def test_pv_build_of_a_resource_declared_twice_exits_2(tmp_path, capsys):
+    pv_path = tmp_path / "twice.pv"
+    pv_path.write_text("resource a capacity 2\nresource a capacity 3\nP(a) V(a)\n")
+    code, out = run_cli(capsys, "pv", "build", str(pv_path))
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "PvSyntaxError",
+        "message": "line 2, column 10: resource 'a' declared twice"}
 
 
 def test_exported_corpus_files_decide_as_expected(tmp_path, capsys):

@@ -740,8 +740,9 @@ TWO_MUTEX = "P(a) P(b) V(b) V(a)\nP(b) P(a) V(a) V(b)\n"
 @pytest.mark.parametrize("name", ["matchbox", "two_mutex"])
 def test_decision_derives_each_table_once(monkeypatch, name):
     # one structural validation (the certificate check reads only the
-    # images), and one coface index and one step graph, cached on the
-    # precubical set
+    # images), and one table of sequential arcs, cached on the precubical
+    # set and shared by the connectivity check and the covering; no coface
+    # index
     import functools
     import importlib
 
@@ -759,12 +760,12 @@ def test_decision_derives_each_table_once(monkeypatch, name):
 
     monkeypatch.setattr(precubical, "validate_precubical", counted(
         "validate_precubical", precubical.validate_precubical))
-    for key in ("cofaces", "successors"):
+    for key in ("cofaces", "sequential_arcs"):
         prop = functools.cached_property(counted(key, getattr(PrecubicalSet, key).func))
         prop.__set_name__(PrecubicalSet, key)
         monkeypatch.setattr(PrecubicalSet, key, prop)
     assert decide_sculptable(h).sculptable
-    assert calls == {"validate_precubical": 1, "cofaces": 1, "successors": 1}
+    assert calls == {"validate_precubical": 1, "sequential_arcs": 1}
 
 
 @pytest.mark.parametrize("name, oracle", [

@@ -219,8 +219,8 @@ def _reference_non_repeating(h, ue):
     covering's walk: False when a cycle of sequential arcs is reached from
     the initial state, else a depth-first search over (state, label set)
     pairs for a repeat."""
-    from hdasculpt.precubical import _sequential_arcs, _sequential_cycle
-    arcs = _sequential_arcs(h)
+    from hdasculpt.precubical import _sequential_cycle
+    arcs = h.base.sequential_arcs
     if _sequential_cycle((h.initial,), arcs) is not None:
         return False
     seen_memo = set()
@@ -243,8 +243,7 @@ def _shortest_repeat(h, ue):
     or None, by a memoized recursion over (state, label set) pairs."""
     import functools
 
-    from hdasculpt.precubical import _sequential_arcs
-    arcs = _sequential_arcs(h)
+    arcs = h.base.sequential_arcs
 
     @functools.lru_cache(maxsize=None)
     def fewest(v, labels):

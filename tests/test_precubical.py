@@ -2,11 +2,12 @@
 
 import pytest
 
-from hdasculpt import (IllegalPathError, Path, Step, corpus, elementary_homotopies,
-                       hda, homotopy_class, is_acyclic, is_connected,
-                       is_non_selflinked, make_bulk, normalize_path,
-                       precubical, rooted_paths, validate_hda, validate_path,
-                       validate_precubical)
+from hdasculpt import (Hda, IllegalPathError, Path, Step, corpus,
+                       elementary_homotopies, hda, homotopy_class, is_acyclic,
+                       is_connected, is_non_selflinked, make_bulk,
+                       normalize_path, precubical, rooted_paths, validate_hda,
+                       validate_path, validate_precubical)
+from hdasculpt.precubical import reachable_cells
 
 
 def square_with_corners():
@@ -76,9 +77,12 @@ def test_connectivity_and_acyclicity():
 
 
 def test_acyclicity_agrees_with_the_closure_of_the_steps():
-    # is_acyclic reads only the sequential arcs; the reference closes the
-    # whole step graph.  Cases: the corpus, and random complexes and DAGs
-    # with two vertices merged: one reaching the other (a cycle), or neither
+    # is_acyclic, reachable_cells and is_connected read only the sequential
+    # arcs; the reference closes the whole step graph, built here from the
+    # cofaces (s-steps up) and the t-faces (t-steps down).  Cases: the
+    # corpus, and random complexes and DAGs with two vertices merged: one
+    # reaching the other (a cycle), or neither; each is read from its
+    # initial state and from a random state
     import random
 
     from hdasculpt.events import transitive_closure
@@ -98,8 +102,11 @@ def test_acyclicity_agrees_with_the_closure_of_the_steps():
         if validate_hda(h).ok:
             cases.append(h)
     outcomes = {True: 0, False: 0}
+    connected = {True: 0, False: 0}
     for h in cases:
-        succ = h.base.successors
+        P = h.base
+        succ = {c: [q for _, q in P.cofaces[c]] + list(P.t_faces[c] if P.dim(c) else ())
+                for c in P.all_cells()}
         reach = transitive_closure((c, d) for c in succ for d in succ[c])
         ok, pair = is_acyclic(h)
         assert ok == (not any(c != d and (d, c) in reach for c, d in reach))
@@ -107,7 +114,14 @@ def test_acyclicity_agrees_with_the_closure_of_the_steps():
             v, e = pair
             assert v != e and (v, e) in reach and (e, v) in reach
         outcomes[ok] += 1
+        for root in (h.initial, rng.choice(h.grade(0))):
+            g = Hda(P, root)
+            closure = {root} | {d for c, d in reach if c == root}
+            assert reachable_cells(g) == closure
+            assert is_connected(g) == (len(closure) == P.size())
+            connected[is_connected(g)] += 1
     assert min(outcomes.values()) > 500
+    assert min(connected.values()) > 500
 
 
 # ---------------------------------------------------------------------------

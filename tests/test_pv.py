@@ -112,6 +112,18 @@ def test_parse_errors():
         parse_pv("resource a capacity zero\n")
 
 
+def test_a_resource_declared_twice_is_an_error():
+    with pytest.raises(PvSyntaxError) as exc:
+        parse_pv("resource a capacity 2\nP(a) V(a)\n  resource  a capacity 3\n")
+    assert exc.value.line == 3 and exc.value.column == 13
+    assert "'a'" in str(exc.value)
+    # a process's use is no declaration, and names are read as whole words
+    assert parse_pv("P(r) V(r)\nresource r capacity 2\n").resources == {"r": 2}
+    with pytest.raises(PvSyntaxError) as exc:
+        parse_pv("resource r0 capacity 0\n")
+    assert exc.value.column == 22
+
+
 def test_capacity_header_and_comments():
     prog = parse_pv("# demo\nresource a capacity 2\nP(a) V(a)\nP(a) V(a)\n")
     assert prog.resources["a"] == 2
