@@ -624,12 +624,12 @@ def _homotopy_pair(covering: Covering, cell: str,
 
 
 def _matching_table(labels_a, labels_b, compatible, diverged=None):
-    """Each position's admissible targets, and per prefix length the masks
-    of the targets that admissible prefixes of that length use, each with
-    its number of prefixes; None when no pairing is admissible (see
-    ``_matchings``).  The counts are a dynamic program over the positions
-    in order, keyed by the mask of the target positions used so far, so the
-    last level counts the pairings without listing them."""
+    """Each position's admissible targets, and a memo ``completions``: for
+    each admissible prefix, keyed by the mask of the targets it uses, the
+    number of admissible pairings that complete it; None when no pairing is
+    admissible (see ``_matchings``).  A mask with k bits set is a k-position
+    prefix, so one memoized recursion from the empty prefix fills the memo,
+    and ``completions[0]`` counts the pairings without listing them."""
     n = len(labels_a)
     if (n < 2 or len(set(labels_a)) < n or len(set(labels_b)) < n
             or labels_a[0] == labels_b[0] or labels_a[-1] == labels_b[-1]):
@@ -640,17 +640,25 @@ def _matching_table(labels_a, labels_b, compatible, diverged=None):
                [j for j in free_b if not i == j == 0 and not i == j == n - 1
                 and compatible(lab, labels_b[j])]
                for i, lab in enumerate(labels_a)]
-    blocked = {(2 << k) - 1 for k in range(n - 1)
-               if diverged is not None and diverged[k]}
-    levels = [{0: 1}]
-    for row in targets:
-        step: dict[int, int] = {}
-        for used, count in levels[-1].items():
-            for j in row:
-                if not used >> j & 1 and used | 1 << j not in blocked:
-                    step[used | 1 << j] = step.get(used | 1 << j, 0) + count
-        levels.append(step)
-    return targets, levels
+    completions: dict[int, int] = {}
+
+    def complete(used, k):
+        if k == n:
+            return 1
+        total = 0
+        for j in targets[k]:
+            step = used | 1 << j
+            if step == used or (step == (2 << k) - 1 and k < n - 1
+                                and diverged is not None and diverged[k]):
+                continue   # j is taken, or the prefix maps onto itself at a cut
+            count = completions.get(step)
+            if count is None:
+                count = completions[step] = complete(step, k + 1)
+            total += count
+        return total
+
+    completions[0] = complete(0, 0)
+    return targets, completions
 
 
 def _matchings(table, enter, leave):
@@ -666,24 +674,16 @@ def _matchings(table, enter, leave):
     states after it the same configuration (``diverged[k]`` flags the cut
     after position k).  Suffixes shorter than two positions admit none either.
 
-    Only prefixes that some pairing completes are stepped into: a backward
-    pass over the table's levels keeps each mask from which the last level
-    is reached.  ``enter(k, j)`` is asked before position k takes target j
-    and may refuse that prefix with all its completions; ``leave()``
-    follows each prefix ``enter`` accepted, once its completions are
-    listed.
+    Only prefixes that some pairing completes are stepped into: those whose
+    count in the table's ``completions`` is positive.  ``enter(k, j)`` is
+    asked before position k takes target j and may refuse that prefix with
+    all its completions; ``leave()`` follows each prefix ``enter`` accepted,
+    once its completions are listed.
     """
     if table is None:
         return
-    targets, levels = table
+    targets, completions = table
     n = len(targets)
-    # the completable masks per prefix length; a mask of length k has k
-    # bits set, so a step onto a used target never lands in the next level
-    alive = [set() for _ in levels]
-    alive[n] = set(levels[n])
-    for k in range(n - 1, 0, -1):
-        alive[k] = {used for used in levels[k]
-                    if any(used | 1 << j in alive[k + 1] for j in targets[k])}
     tau: list[int] = []
 
     def assign(k, used):
@@ -691,7 +691,7 @@ def _matchings(table, enter, leave):
             yield tuple(tau)
             return
         for j in targets[k]:
-            if used | 1 << j not in alive[k + 1] or not enter(k, j):
+            if used >> j & 1 or not completions.get(used | 1 << j) or not enter(k, j):
                 continue
             tau.append(j)
             yield from assign(k + 1, used | 1 << j)
@@ -714,7 +714,7 @@ def _fewest_matchings(conflicts):
     best, dead = None, False
     for index, (size, args) in enumerate(conflicts):
         table = _matching_table(*args)
-        count = 0 if table is None else sum(table[1][-1].values())
+        count = 0 if table is None else table[1][0]
         if count == 1:
             return index, 1, table, dead
         dead |= not count
@@ -776,11 +776,11 @@ def repair_search(h: Hda, covering: Covering | None = None,
         pair's classes merged under the smaller index, unless that is
         ``part`` itself."""
         nonlocal nodes
-        parts, trail = [part], []
+        trail = [(part, None)]   # per accepted prefix, its partition and undo
 
         def enter(k, j):
             nonlocal pruned, first_clash
-            cur, undo = parts[-1], None
+            cur, undo = trail[-1][0], None
             x, y = cur[edges_a[k]], cur[edges_b[j]]
             if x != y:
                 lo, hi = (x, y) if x < y else (y, x)
@@ -792,21 +792,19 @@ def repair_search(h: Hda, covering: Covering | None = None,
                         first_clash = _clash_witness(ue, clash)
                     return False
                 cur = tuple([lo if c == hi else c for c in cur])
-            parts.append(cur)
-            trail.append(undo)
+            trail.append((cur, undo))
             return True
 
         def leave():
-            parts.pop()
-            undo = trail.pop()
+            undo = trail.pop()[1]
             if undo is not None:
                 state.undo(undo)
 
         for _ in _matchings(table, enter, leave):
-            if parts[-1] != part:
+            if trail[-1][0] != part:
                 nodes += 1
                 check_budget()
-                yield parts[-1]
+                yield trail[-1][0]
 
     check_budget()
     root = tuple(range(len(ue.reps)))

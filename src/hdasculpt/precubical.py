@@ -148,13 +148,18 @@ class PrecubicalSet:
 
     @cached_property
     def sequential_arcs(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """state -> ((edge, next_state), ..) for steps up an edge and down again."""
+        """state -> ((edge, next_state), ..) for steps up an edge and down
+        again; raises InvalidStructureError naming the first edge whose
+        s-face or t-face is not exactly one declared vertex."""
         arcs: dict[str, list[tuple[str, str]]] = {v: [] for v in self.grade(0)}
         s_faces, t_faces = self.s_faces, self.t_faces
         for e in self.grade(1):
-            v = s_faces[e][0]
-            if v in arcs:
-                arcs[v].append((e, t_faces[e][0]))
+            s, t = s_faces.get(e, ()), t_faces.get(e, ())
+            if len(s) != 1 or len(t) != 1 or s[0] not in arcs or t[0] not in arcs:
+                raise InvalidStructureError(
+                    f"edge {e!r} does not have exactly one declared vertex"
+                    " as its s-face and as its t-face")
+            arcs[s[0]].append((e, t[0]))
         return {v: tuple(a) for v, a in arcs.items()}
 
     @cached_property
@@ -223,7 +228,8 @@ class Morphism:
 
 
 def validate_precubical(raw: PrecubicalSet) -> ValidationReport:
-    """Check face-map shape, dangling references, and the face identities.
+    """Check face-map shape, dangling references, face tables of undeclared
+    cells, and the face identities.
 
     The identity checked for every cell q of dimension n and every pair
     k < l is alpha_k(beta_l(q)) == beta_{l-1}(alpha_k(q)) for alpha, beta
@@ -262,6 +268,12 @@ def validate_precubical(raw: PrecubicalSet) -> ValidationReport:
                             f"{kind}_{k} = {f!r} has dimension {m},"
                             f" expected {n - 1}",
                             (kind, k, f)))
+    for kind, table in tables:
+        if not table.keys() <= dim_of.keys():
+            problems.extend(Problem("undeclared_cell", c,
+                                    f"{kind}-face table names no declared cell",
+                                    (kind,))
+                            for c in table if c not in dim_of)
     if problems:
         return ValidationReport(tuple(problems))
 
@@ -706,6 +718,13 @@ def precubical_from_json(data: Mapping) -> PrecubicalSet:
     tables = {"s": {}, "t": {}, **data}   # a set of points has no faces
     check_json_shape("HDA", tables, {"cells": _FACE_TABLE, "s": _FACE_TABLE,
                                      "t": _FACE_TABLE})
+    for key in tables["cells"]:
+        # int() would also take "01", " 0", "-1" and non-ASCII digits, and
+        # two keys naming one dimension would keep only one list of cells
+        if not (key.isascii() and key.isdigit()) or key != "0" and key[0] == "0":
+            raise InvalidStructureError(
+                f"HDA JSON: cells key {key!r} is not a dimension"
+                " (a non-negative decimal without leading zeros)")
     return precubical(tables["cells"], tables["s"], tables["t"])
 
 

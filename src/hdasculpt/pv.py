@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from operator import add, le
+from typing import NamedTuple
 
 from .errors import (HeldAtEndError, InitialForbiddenError, PvSyntaxError,
                      UnmatchedReleaseError)
-from .euclid import (ComplexEmbedding, _check_grid_limit, _grid_boxes,
-                     complex_to_hda)
+from .euclid import ComplexEmbedding, _check_grid_limit, complex_to_hda
 from .precubical import restrict_to_reachable
 
 _TOKEN = re.compile(r"(?P<kind>[PV])\((?P<name>[A-Za-z_][A-Za-z0-9_]*)\)$")
@@ -102,17 +102,6 @@ def parse_pv(text: str) -> PvProgram:
     return PvProgram(resources, tuple(processes))
 
 
-def _holds_table(actions: Sequence[PvAction], resource: str) -> list[bool]:
-    """holds[j]: the process holds ``resource`` after its first j actions."""
-    count = 0
-    out = [False]
-    for act in actions:
-        if act.resource == resource:
-            count += 1 if act.kind == "P" else -1
-        out.append(count > 0)
-    return out
-
-
 def pv_to_complex(prog: PvProgram) -> ComplexEmbedding:
     """The execution-space complex of the program, with forbidden cells removed.
 
@@ -130,20 +119,29 @@ def pv_to_complex(prog: PvProgram) -> ComplexEmbedding:
         raise ValueError("program has no processes")
     sizes = tuple(len(p) for p in prog.processes)
     _check_grid_limit(sizes)
-    holds = {r: [_holds_table(p, r) for p in prog.processes]
-             for r in prog.resources}
-
-    kept = []
-    for lower, upper in _grid_boxes(sizes):
-        for r, tables in holds.items():
-            total = 0
-            for a, b, table in zip(lower, upper, tables):
-                if table[a] or table[b]:
-                    total += 1
-            if total > prog.resources[r]:
-                break
-        else:
-            kept.append((lower, upper))
+    index = {r: i for i, r in enumerate(prog.resources)}
+    capacity = tuple(prog.resources.values())
+    # process by process, the kept prefixes in grid order: their lower and
+    # upper corners and each resource's held count; counts only grow along
+    # the axes, so a prefix over capacity has no kept extension
+    prefixes = [((), (), (0,) * len(capacity))]
+    for actions in prog.processes:
+        count = [0] * len(capacity)
+        held = [(0,) * len(capacity)]   # held[j]: after the first j actions
+        for act in actions:
+            count[index[act.resource]] += 1 if act.kind == "P" else -1
+            held.append(tuple(int(c > 0) for c in count))
+        options = [(j, j, held[j]) for j in range(len(held))]
+        options += [(j, j + 1, tuple(map(max, held[j], held[j + 1])))
+                    for j in range(len(actions))]
+        step = []
+        for lower, upper, counts in prefixes:
+            for a, b, holds in options:
+                total = tuple(map(add, counts, holds))
+                if all(map(le, total, capacity)):
+                    step.append((lower + (a,), upper + (b,), total))
+        prefixes = step
+    kept = [(lower, upper) for lower, upper, _ in prefixes]
     origin = (0,) * len(sizes)
     if (origin, origin) not in kept:
         raise InitialForbiddenError("the all-zero corner is forbidden")

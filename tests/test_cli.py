@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from hdasculpt import corpus, hda_from_json, hda_to_json, make_bulk
+from hdasculpt import corpus, hda, hda_from_json, hda_to_json, make_bulk
 from hdasculpt.cli import main
 
 
@@ -101,7 +101,9 @@ def test_cover_command(tmp_path, capsys):
     ("s", "q", ["l"], "face_count"),
     ("t", "r", ["zz"], "dangling_face"),
     ("s", "l", [], "face_count"),
-], ids=["one_s_face", "dangling_t_face", "edge_without_s_face"])
+    ("t", "ghost", ["00"], "undeclared_cell"),
+], ids=["one_s_face", "dangling_t_face", "edge_without_s_face",
+        "undeclared_face_table"])
 @pytest.mark.parametrize("command", [
     ("check",), ("cover",), ("export",), ("export", "--format", "dot"),
     ("export", "--format", "tikz"),
@@ -118,6 +120,28 @@ def test_invalid_hda_exits_2(tmp_path, capsys, command, table, cell, faces, kind
     error = json.loads(out)
     assert error["error"] == "InvalidStructureError"
     assert kind in error["message"]
+
+
+@pytest.mark.parametrize("key", ["01", "00", "-1", " 0", "\u0660"])
+@pytest.mark.parametrize("command", ["check", "cover", "export"])
+def test_non_decimal_dimension_key_exits_2(tmp_path, capsys, command, key):
+    data = hda_to_json(corpus.filled_square())
+    data["cells"][key] = ["extra"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, command, str(path))
+    assert code == 2
+    error = json.loads(out)
+    assert error["error"] == "InvalidStructureError"
+    assert f"cells key {key!r}" in error["message"]
+
+
+def test_check_disconnected_hda_exits_2(tmp_path, capsys):
+    path = tmp_path / "apart.json"
+    path.write_text(json.dumps(hda_to_json(hda({0: ["a", "b"]}, {}, {}, "a"))))
+    code, out = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "NotConnectedError"
 
 
 def test_convert_chain(tmp_path, capsys):

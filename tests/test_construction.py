@@ -42,6 +42,8 @@ PROGRAMS = list(dict.fromkeys([
       "P(a) P(b) V(b) V(a)\nP(b) P(a) V(a) V(b)\n" for cap in (1, 2, 3, "inf")),
     "P(a) V(a) P(b) V(b)\nP(b) V(b)\n",
     "resource s capacity 2\nP(s) V(s)\nP(s) V(s)\nP(s) V(s)\n",
+    # ring4: most positions of its grid are forbidden
+    "".join(f"P(x{i}) P(x{(i + 1) % 4}) V(x{i}) V(x{(i + 1) % 4})\n" for i in range(4)),
     *WORKLOADS.PV_SEARCH.values(),
     *WORKLOADS.GRID_PV.values(),
 ]))

@@ -721,6 +721,29 @@ def test_exhausted_repair_is_cross_checked():
     assert v3.heuristic_incomplete
 
 
+@pytest.mark.parametrize("max_events, witness, incomplete", [
+    (10, {"kind": "exhausted",
+          "summary": "no proper identification; 44 prefixes checked"}, False),
+    (9, {"kind": "exhausted", "summary": "search tree exhausted after 4 nodes"},
+     True),
+], ids=["oracle", "over_the_oracle_bound"])
+def test_an_exhausted_verdict_says_how_it_was_reached(max_events, witness,
+                                                      incomplete):
+    # random111 exhausts the repair search: with 10 events the oracle
+    # decides it, with a bound of 9 the verdict is flagged heuristic
+    from hdasculpt import verdict_to_json
+    from hdasculpt.randgen import random_hda_batch
+    h = random_hda_batch(7, 300, max_events=10)[111]
+    out = verdict_to_json(decide_sculptable(h, max_events=max_events))
+    assert out["sculptable"] is False and out["witness"] == witness
+    assert out.get("heuristic_incomplete", False) is incomplete
+
+
+def test_decision_rejects_a_disconnected_automaton():
+    with pytest.raises(NotConnectedError):
+        decide_sculptable(hda({0: ["a", "b"]}, {}, {}, "a"))
+
+
 def test_decision_checks_connectivity_once(monkeypatch):
     import hdasculpt.decision as decision
     calls = []
@@ -997,7 +1020,7 @@ def matching_args(draw, max_n=8):
 def test_counting_matchings_equals_listing_them(args):
     from hdasculpt.decision import _matching_table
     table = _matching_table(*args)
-    count = 0 if table is None else sum(table[1][-1].values())
+    count = 0 if table is None else table[1][0]   # the empty prefix's completions
     assert count == len(_listed(table))
 
 

@@ -2,11 +2,12 @@
 
 import pytest
 
-from hdasculpt import (Hda, IllegalPathError, Path, Step, corpus,
-                       elementary_homotopies, hda, homotopy_class, is_acyclic,
+from hdasculpt import (Hda, IllegalPathError, InvalidStructureError, Path, Step,
+                       corpus, elementary_homotopies, has_non_repeating_events,
+                       hda, hda_from_json, homotopy_class, is_acyclic,
                        is_connected, is_non_selflinked, make_bulk,
-                       normalize_path, precubical, rooted_paths, validate_hda,
-                       validate_path, validate_precubical)
+                       normalize_path, path_covering, precubical, rooted_paths,
+                       validate_hda, validate_path, validate_precubical)
 from hdasculpt.precubical import reachable_cells
 
 
@@ -40,6 +41,48 @@ def test_validate_reports_dangling_reference():
     report = validate_precubical(
         precubical({0: ["v"], 1: ["e"]}, {"e": ["v"]}, {"e": ["ghost"]}))
     assert [p.kind for p in report.problems] == ["dangling_face"]
+
+
+def test_validate_reports_face_table_of_undeclared_cell():
+    base = square_with_corners()
+    report = validate_precubical(precubical(
+        base.cells, base.s_faces, {**base.t_faces, "ghost": ["00"]}))
+    assert [(p.kind, p.cell, p.data) for p in report.problems] == [
+        ("undeclared_cell", "ghost", ("t",))]
+
+
+@pytest.mark.parametrize("cells, key", [
+    ({"0": ["v"], "1": ["e"], "01": ["f"]}, "01"),
+    ({"0": ["v", "w"], "00": ["u"]}, "00"),
+    ({"0": ["v"], "-1": ["u"]}, "-1"),
+    ({" 0": ["v"]}, " 0"),
+    ({"\u0660": ["v"]}, "\u0660"),
+], ids=["leading_zero", "two_zeros", "negative", "space", "arabic_indic_zero"])
+def test_a_dimension_key_must_be_a_plain_decimal(cells, key):
+    # int() takes each of these, so two keys could name one dimension and
+    # one of their cell lists would be dropped without a word
+    with pytest.raises(InvalidStructureError, match=repr(key)):
+        hda_from_json({"cells": cells, "s": {}, "t": {}, "initial": "v"})
+
+
+@pytest.mark.parametrize("table, faces", [
+    ("s", []), ("t", ["ghost"]), ("s", None),
+], ids=["empty_s_face", "undeclared_t_face", "no_s_entry"])
+@pytest.mark.parametrize("check", [
+    is_connected, reachable_cells, is_acyclic, has_non_repeating_events,
+    path_covering], ids=lambda f: f.__name__)
+def test_reachability_names_a_malformed_edge(check, table, faces):
+    # each reads the sequential arcs, which name the first edge that has
+    # not exactly one declared vertex as its s-face and as its t-face
+    base = square_with_corners()
+    tables = {"s": dict(base.s_faces), "t": dict(base.t_faces)}
+    if faces is None:
+        del tables[table]["l"]
+    else:
+        tables[table]["l"] = faces
+    h = Hda(precubical(base.cells, tables["s"], tables["t"]), "00")
+    with pytest.raises(InvalidStructureError, match="edge 'l'"):
+        check(h)
 
 
 def test_bulk_is_non_selflinked():
