@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Mapping, Sequence
 
 from .bulk import Sculpture, validate_images
@@ -661,9 +661,10 @@ def _matching_table(labels_a, labels_b, compatible, diverged=None):
     return targets, completions
 
 
-def _matchings(table, enter, leave):
-    """All admissible pairings of two label suffixes, as tuples of targets,
-    in lexicographic order, from their ``_matching_table``.
+def _matchings(table, step, start):
+    """The admissible pairings of two label suffixes, in lexicographic order
+    of their targets, by one recursive walk of their ``_matching_table``
+    that carries a state from ``start`` down each prefix.
 
     Positions whose labels are already identified must pair with each other,
     since a proper identification never merges two events of one suffix, so
@@ -675,30 +676,33 @@ def _matchings(table, enter, leave):
     after position k).  Suffixes shorter than two positions admit none either.
 
     Only prefixes that some pairing completes are stepped into: those whose
-    count in the table's ``completions`` is positive.  ``enter(k, j)`` is
-    asked before position k takes target j and may refuse that prefix with
-    all its completions; ``leave()`` follows each prefix ``enter`` accepted,
-    once its completions are listed.
+    count in ``completions`` is positive.  ``step(k, j, state)`` gives the
+    state once position k takes target j, with a callable undoing it or
+    None, or None to drop that prefix and its completions.  The walk yields
+    the state of each pairing, and undoes a prefix once its completions are
+    walked.
     """
     if table is None:
         return
     targets, completions = table
     n = len(targets)
-    tau: list[int] = []
 
-    def assign(k, used):
+    def walk(k, used, state):
         if k == n:
-            yield tuple(tau)
+            yield state
             return
         for j in targets[k]:
-            if used >> j & 1 or not completions.get(used | 1 << j) or not enter(k, j):
+            if used >> j & 1 or not completions.get(used | 1 << j):
                 continue
-            tau.append(j)
-            yield from assign(k + 1, used | 1 << j)
-            tau.pop()
-            leave()
+            stepped = step(k, j, state)
+            if stepped is None:
+                continue
+            longer, undo = stepped
+            yield from walk(k + 1, used | 1 << j, longer)
+            if undo is not None:
+                undo()
 
-    yield from assign(0, 0)
+    yield from walk(0, 0, start)
 
 
 def _fewest_matchings(conflicts):
@@ -741,7 +745,11 @@ def repair_search(h: Hda, covering: Covering | None = None,
     order, co-occurrence, and prefix divergence, and the conflict with the
     fewest of them is repaired first, so forced repairs (two-step
     interleavings included) chain before anything branches.  Branches whose
-    quotient order turns cyclic are dropped.
+    quotient order turns cyclic are dropped.  No partition is pulled twice:
+    a child is strictly coarser than its parent, as its pair's routes start
+    distinct classes, and where two nodes' root paths part, a coarsening of
+    both would put two events started together in one class, while a
+    matching merges disjoint pairs of classes, each checked for that.
 
     The root, the discrete partition, is decided alone when no state holds
     two configurations.  Otherwise one quotient state, indexed at the root,
@@ -771,44 +779,26 @@ def repair_search(h: Hda, covering: Covering | None = None,
         if nodes + pruned > node_budget:
             raise ResourceLimitError(f"repair search exceeded {node_budget} nodes")
 
-    def children(part, table, edges_a, edges_b):
-        """Per matching, in ``_matchings`` order, ``part`` with each matched
-        pair's classes merged under the smaller index, unless that is
-        ``part`` itself."""
-        nonlocal nodes
-        trail = [(part, None)]   # per accepted prefix, its partition and undo
-
-        def enter(k, j):
-            nonlocal pruned, first_clash
-            cur, undo = trail[-1][0], None
-            x, y = cur[edges_a[k]], cur[edges_b[j]]
-            if x != y:
-                lo, hi = (x, y) if x < y else (y, x)
-                undo, clash = state.merge(cur, lo, hi)
-                if clash is not None:
-                    pruned += 1
-                    check_budget()
-                    if first_clash is None:
-                        first_clash = _clash_witness(ue, clash)
-                    return False
-                cur = tuple([lo if c == hi else c for c in cur])
-            trail.append((cur, undo))
-            return True
-
-        def leave():
-            undo = trail.pop()[1]
-            if undo is not None:
-                state.undo(undo)
-
-        for _ in _matchings(table, enter, leave):
-            if trail[-1][0] != part:
-                nodes += 1
-                check_budget()
-                yield trail[-1][0]
+    def step(edges_a, edges_b, k, j, cur):
+        """``cur`` with the classes of position k and its target j merged
+        under the smaller index, for ``_matchings``; None on a clash."""
+        nonlocal pruned, first_clash
+        x, y = cur[edges_a[k]], cur[edges_b[j]]
+        if x == y:
+            return cur, None
+        lo, hi = (x, y) if x < y else (y, x)
+        undo, clash = state.merge(cur, lo, hi)
+        if clash is not None:
+            pruned += 1
+            check_budget()
+            if first_clash is None:
+                first_clash = _clash_witness(ue, clash)
+            return None
+        return tuple([lo if c == hi else c for c in cur]), lambda: state.undo(undo)
 
     check_budget()
     root = tuple(range(len(ue.reps)))
-    stack = []   # per expanded node, the generator of its children
+    stack = []   # per expanded node, the walk of its matchings (its children)
     if all(len(covering.masks[v]) == 1 for v in h.grade(0)):
         # nor does any cell, so the root fails only on a clash or, for an
         # unordered automaton passed in directly, on its order
@@ -826,16 +816,19 @@ def repair_search(h: Hda, covering: Covering | None = None,
             return Verdict(False, witness=_clash_witness(ue, clash), nodes_explored=1)
         stack.append(iter([root]))
     divergence: dict = {}   # see _homotopy_pair
-    seen: set[tuple[int, ...]] = set()
     while stack:
         part = next(stack[-1], None)
         if part is None:
             stack.pop()
             continue
-        below = None if part in seen else _linear_extension(covering.gens, part)
+        if part is not root:   # a child
+            nodes += 1
+            check_budget()
+        below = _linear_extension(covering.gens, part)
         if below is None:
-            continue  # reached along another merge order, or cyclic
-        seen.add(part)
+            # each pair a matching merges is incomparable in its parent's
+            # order, but two pairs of one matching can close a cycle
+            continue
         members: dict[int, int] = {}   # class -> the bits of its events
         meets: dict[int, int] = {}     # class -> the events co-occurring with it
         for i, c in enumerate(part):
@@ -874,7 +867,7 @@ def repair_search(h: Hda, covering: Covering | None = None,
             # worth following for the sake of a sharper witness
             chosen = None
         if chosen is not None:
-            stack.append(children(part, table, *pairs[chosen]))
+            stack.append(_matchings(table, partial(step, *pairs[chosen]), part))
     if first_clash is not None:
         return Verdict(False, witness=first_clash, nodes_explored=nodes)
     return Verdict(False, witness=Witness(

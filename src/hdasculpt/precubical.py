@@ -170,8 +170,20 @@ class PrecubicalSet:
 
 
 def precubical(cells, s_faces, t_faces) -> PrecubicalSet:
-    """Normalize raw mappings into a PrecubicalSet."""
-    norm_cells = {int(n): tuple(cs) for n, cs in cells.items()}
+    """Normalize raw mappings into a PrecubicalSet.  A ``cells`` key is an
+    int or a non-negative ASCII decimal without leading zeros, as in JSON:
+    int() would also take "01", " 0", "-1" and non-ASCII digits, and two
+    keys naming one dimension would keep only one list of cells."""
+    norm_cells = {}
+    for key, cs in cells.items():
+        if not (type(key) is int or isinstance(key, str) and key.isascii()
+                and key.isdigit() and (key == "0" or key[0] != "0")):
+            raise InvalidStructureError(
+                f"cells key {key!r} is not a dimension"
+                " (an int, or a non-negative decimal without leading zeros)")
+        if int(key) in norm_cells:
+            raise InvalidStructureError(f"cells key {key!r} names a dimension twice")
+        norm_cells[int(key)] = tuple(cs)
     return PrecubicalSet(
         cells=norm_cells,
         s_faces={c: tuple(fs) for c, fs in s_faces.items()},
@@ -718,13 +730,6 @@ def precubical_from_json(data: Mapping) -> PrecubicalSet:
     tables = {"s": {}, "t": {}, **data}   # a set of points has no faces
     check_json_shape("HDA", tables, {"cells": _FACE_TABLE, "s": _FACE_TABLE,
                                      "t": _FACE_TABLE})
-    for key in tables["cells"]:
-        # int() would also take "01", " 0", "-1" and non-ASCII digits, and
-        # two keys naming one dimension would keep only one list of cells
-        if not (key.isascii() and key.isdigit()) or key != "0" and key[0] == "0":
-            raise InvalidStructureError(
-                f"HDA JSON: cells key {key!r} is not a dimension"
-                " (a non-negative decimal without leading zeros)")
     return precubical(tables["cells"], tables["s"], tables["t"])
 
 

@@ -993,7 +993,7 @@ def _fewest_by_listing(conflicts):
 def _listed(table):
     """Every matching of a ``_matching_table``, with no prefix refused."""
     from hdasculpt.decision import _matchings
-    return list(_matchings(table, lambda k, j: True, lambda: None))
+    return list(_matchings(table, lambda k, j, tau: (tau + (j,), None), ()))
 
 
 @hst.composite

@@ -60,9 +60,27 @@ def test_validate_reports_face_table_of_undeclared_cell():
 ], ids=["leading_zero", "two_zeros", "negative", "space", "arabic_indic_zero"])
 def test_a_dimension_key_must_be_a_plain_decimal(cells, key):
     # int() takes each of these, so two keys could name one dimension and
-    # one of their cell lists would be dropped without a word
+    # one of their cell lists would be dropped without a word; the library's
+    # constructors did, and precubical({'0': ['v'], '00': ['w']}, {}, {})
+    # validated clean with only w
     with pytest.raises(InvalidStructureError, match=repr(key)):
         hda_from_json({"cells": cells, "s": {}, "t": {}, "initial": "v"})
+    with pytest.raises(InvalidStructureError, match=repr(key)):
+        precubical(cells, {}, {})
+    with pytest.raises(InvalidStructureError, match=repr(key)):
+        hda(cells, {}, {}, "v")
+
+
+@pytest.mark.parametrize("cells, match", [
+    ({0: ["v"], "0": ["w"]}, "twice"),
+    ({0: ["v"], 1.0: ["e"]}, "1.0"),
+    ({True: ["v"]}, "True"),
+], ids=["int_and_string", "float", "bool"])
+def test_a_dimension_key_that_is_not_a_string_must_be_an_int(cells, match):
+    with pytest.raises(InvalidStructureError, match=match):
+        precubical(cells, {}, {})
+    assert precubical({0: ["v"], "1": ["e"]}, {"e": ["v"]}, {"e": ["v"]}).cells \
+        == {0: ("v",), 1: ("e",)}
 
 
 @pytest.mark.parametrize("table, faces", [

@@ -7,7 +7,8 @@ import pytest
 
 from hdasculpt import (HeldAtEndError, PvSyntaxError, ResourceLimitError,
                        UnmatchedReleaseError, decide_sculptable, is_connected,
-                       parse_pv, partition_to_json, pv_to_complex)
+                       parse_pv, partition_to_json, pv_to_complex,
+                       universal_events)
 
 TWO_MUTEX = "P(a) P(b) V(b) V(a)\nP(b) P(a) V(a) V(b)\n"
 BRANCHING = {
@@ -247,6 +248,100 @@ def test_frontier_pv_programs_are_decided_within_the_default_budget(text, d):
     # prefixes already clash; three_res's has 328,746,151 matchings
     v = decide_sculptable(pv_to_complex(parse_pv(text)).hda)
     assert v.sculptable and v.d == d
+
+
+# Two copies of two_mutex's first process beside twomutex_long's second: the
+# one program known whose repair search pulls children with a cyclic order.
+CYCLIC_CHILDREN = ("P(a) P(b) V(b) V(a)\nP(b) P(a) V(a) V(b) P(b) V(b)\n"
+                   "P(a) P(b) V(b) V(a)\n")
+
+
+def _pulled(monkeypatch):
+    """Record each partition the repair search checks for a cycle, that is
+    each node it pulls, with the answer: below-sets, or None when cyclic."""
+    import hdasculpt.decision as decision
+    linear_extension, pulled = decision._linear_extension, []
+
+    def recorded(gens, part):
+        below = linear_extension(gens, part)
+        pulled.append((tuple(part), below))
+        return below
+
+    monkeypatch.setattr(decision, "_linear_extension", recorded)
+    return pulled
+
+
+def test_repair_search_drops_the_cyclic_children_it_pulls(monkeypatch):
+    # each pair a matching merges is incomparable in its parent's order, but
+    # two pairs of one matching can close a cycle; this program pulls four
+    # such children
+    from hdasculpt import repair_search
+    h = pv_to_complex(parse_pv(CYCLIC_CHILDREN)).hda
+    assert (sum(1 for _ in h.all_cells()), len(universal_events(h.base).reps)) == (232, 64)
+    pulled = _pulled(monkeypatch)
+    v = repair_search(h)
+    assert v.sculptable and v.d == 14 and v.nodes_explored == 14
+    assert sum(below is None for _, below in pulled) >= 1
+
+
+def test_repair_search_never_pulls_a_partition_twice(monkeypatch):
+    # two nodes whose root paths part at a node merge one label with two
+    # labels of one route there, whose events are started together; no
+    # class ever holds two such events, so no partition is reached twice
+    from hdasculpt import repair_search
+    from hdasculpt.randgen import random_hda_batch
+    programs = [*BRANCHING.values(), "P(a) V(a)\n" * 3,
+                "P(a) V(a)\nP(b) V(b)\nP(c) V(c)\n",
+                "resource a capacity 2\n" + "P(a) V(a)\n" * 3, CYCLIC_CHILDREN]
+    automata = random_hda_batch(7, 300, max_events=12)
+    automata += [pv_to_complex(parse_pv(text)).hda for text in programs]
+    pulled = _pulled(monkeypatch)
+    for h in automata:
+        pulled.clear()
+        repair_search(h)
+        parts = [part for part, _ in pulled]
+        assert len(set(parts)) == len(parts)
+
+
+def _merged_pv_programs():
+    """Each pair of incomparable vertices at equal path length (coordinate
+    sum) of five small PV programs, merged, when the result has at most 16
+    events and is connected, ordered and free of repeating events."""
+    from hdasculpt import (has_non_repeating_events, is_connected, is_ordered,
+                           validate_hda)
+    from hdasculpt.precubical import restrict_to_reachable
+    from hdasculpt.randgen import _incomparable_vertex_pairs, _merge_vertices
+    programs = ["P(a) V(a)\n" * 2, "P(a) V(a)\n" * 3, "P(a) V(a) P(a) V(a)\n" * 2,
+                TWO_MUTEX, "P(a) V(a) P(b) V(b)\nP(b) V(b) P(a) V(a)\n"]
+    merged = []
+    for text in programs:
+        h = pv_to_complex(parse_pv(text)).hda
+        length = {v: sum(map(int, v.split(","))) for v in h.grade(0)}
+        for a, b in _incomparable_vertex_pairs(h):
+            if length[a] != length[b]:
+                continue
+            m = restrict_to_reachable(_merge_vertices(h, a, b))
+            if (validate_hda(m).ok and is_connected(m)
+                    and len(universal_events(m.base).reps) <= 16
+                    and is_ordered(m.base)[0] and has_non_repeating_events(m)[0]):
+                merged.append(m)
+    return merged
+
+
+def test_repair_search_agrees_with_the_oracle_on_merged_pv_programs():
+    # a label_clash from the repair search is returned unchecked, so its
+    # matching filters must be complete; merging vertices of PV programs at
+    # equal path length gives negatives that reach the clash
+    from hdasculpt import brute_force_search, repair_search
+    merged = _merged_pv_programs()
+    assert len(merged) == 23
+    kinds = []
+    for h in merged:
+        v = repair_search(h)
+        kinds.append("sculptable" if v.sculptable else v.witness.kind)
+        if kinds[-1] != "exhausted":
+            assert brute_force_search(h, max_events=16).sculptable == v.sculptable
+    assert "label_clash" in kinds
 
 
 def test_grid_limit_is_checked_before_any_cell_is_enumerated(monkeypatch):
