@@ -37,18 +37,24 @@ from .st_chu import StConfig, StStructure
 class Covering:
     """Per-cell path configurations plus one witness path per configuration.
 
-    A configuration is held as its (started, terminated) bitmasks over
-    ``ue.reps``; ``configs`` and ``structure`` read them as ``StConfig``s.
+    Configurations are (started, terminated) bitmasks over ``ue.reps``:
+    ``keys`` holds all of a vertex's but any other cell's first only, and
+    ``masks``, ``configs`` and ``structure`` (``StConfig``s) all, once read.
     """
 
     ue: UniversalEvents
-    masks: Mapping[str, tuple[tuple[int, int], ...]]   # cell -> configurations
+    keys: Mapping[str, tuple[tuple[int, int], ...]]   # cell -> configurations
     gens: tuple[tuple[int, int], ...]   # ue.generators, as positions in ue.reps
     _bottom: Mapping[str, str] = field(repr=False)   # cell -> its bottom vertex
     # the walk's (vertex, started) keys -> (the previous key, the edge of the
     # arc between), or None at the root; see events._sequential_walk
     _parents: Mapping = field(repr=False)
     _hda: Hda = field(repr=False)
+
+    @cached_property
+    def masks(self) -> Mapping[str, tuple[tuple[int, int], ...]]:   # own = s ^ u
+        return {c: tuple([(t | s ^ u, t) for _, t in self.keys[self._bottom[c]]])
+                for c, ((s, u), *_) in self.keys.items()}
 
     @cached_property
     def configs(self) -> Mapping[str, tuple[StConfig, ...]]:
@@ -61,27 +67,22 @@ class Covering:
                            frozenset(c for cs in self.configs.values() for c in cs))
 
     def witness(self, cell: str, cfg: StConfig) -> Path:
-        """A rooted path to ``cell`` with configuration ``cfg``; KeyError
-        unless ``cfg`` is one of the cell's configurations."""
+        """A rooted path to ``cell`` with configuration ``cfg``, KeyError if it
+        has none: ``_arcs``'s route and the canonical climb into the cell, a
+        path of type (s_1 t_1)^l s_1 .. s_n, as ``normalize_path`` writes it."""
         bit = {r: 1 << i for i, r in enumerate(self.ue.reps)}
         mask = tuple(sum(map(bit.__getitem__, labels))
                      for labels in (cfg.started, cfg.terminated))
         if mask not in self.masks[cell]:
             raise KeyError((cell, cfg))
-        return self._route(cell, mask[1])
+        h = self._hda
+        steps = _sequential_path(h.initial, self._arcs(cell, mask[1])).steps
+        return Path(h.initial, steps + _climb(h.base, cell))
 
     def _arcs(self, cell: str, terminated: int) -> list[tuple[str, str]]:
         """The sequential route of the configuration of ``cell`` with
         ``terminated`` to the cell's bottom vertex, as (edge, state) arcs."""
         return _walk_route(self._parents, (self._bottom[cell], terminated))
-
-    def _route(self, cell: str, terminated: int) -> Path:
-        """The route of ``_arcs`` followed by the canonical climb into the
-        cell: a path of type (s_1 t_1)^l s_1 .. s_n, as ``normalize_path``
-        writes it."""
-        h = self._hda
-        steps = _sequential_path(h.initial, self._arcs(cell, terminated)).steps
-        return Path(h.initial, steps + _climb(h.base, cell))
 
 
 def path_covering(h: Hda, ue: UniversalEvents | None = None) -> Covering:
@@ -105,9 +106,9 @@ def _covering(h: Hda, ue: UniversalEvents) -> Covering:
     """``path_covering`` for an automaton known to be connected.
 
     A vertex's configurations are (s, s) for each key (vertex, s) of the
-    walk, in the walk's order, and a cell's are (s | own, s) for each of its
-    bottom vertex's s, in that order, where own holds the bits of the
-    cell's events.  Both tables are read in dimension order off the
+    walk, in the walk's order, and ``keys`` holds those and, for any other
+    cell, (s | own, s) for its bottom vertex's first s, where own holds the
+    bits of its events.  Both tables are read in dimension order off the
     s-faces: an n-cell's bottom vertex is its s_1-face's, and for n >= 2 its
     events are those of its s_1-face and of its s_n-face together.
     """
@@ -118,9 +119,10 @@ def _covering(h: Hda, ue: UniversalEvents) -> Covering:
     at: dict[str, list[int]] = {v: [] for v in h.grade(0)}
     for v, s in parents:
         at[v].append(s)
-    masks = {c: tuple([(s | own[c], s) for s in at[bottom[c]]]) for c in h.all_cells()}
+    keys = {c: tuple([(s | own[c], s) for s in (at[c] if c in at else at[bottom[c]][:1])])
+            for c in h.all_cells()}
     index = {r: i for i, r in enumerate(ue.reps)}
-    return Covering(ue=ue, masks=masks,
+    return Covering(ue=ue, keys=keys,
                     gens=tuple((index[a], index[b]) for a, b in ue.generators),
                     _bottom=bottom, _parents=parents, _hda=h)
 
@@ -208,8 +210,8 @@ def _clash(keys):
 
 
 class _Quotient:
-    """The quotient key of every configuration under a partition that a
-    search refines one merge at a time and coarsens back on backtrack.
+    """The quotient key of every ``Covering.keys`` row under a partition that
+    a search refines one merge at a time and coarsens back on backtrack.
 
     This is trailing, as in MiniSat (Eén and Sörensson, SAT 2003): a merge
     rewrites only the keys it changes and hands back the list that undoes
@@ -217,17 +219,25 @@ class _Quotient:
     with each cell's slice.  The index of the configurations starting each
     event, the events each event is started together with, the owner of
     each key, and per cell the number of distinct keys it ``held`` are
-    built by ``index``, which a search calls before its first merge.  A
-    cell holds two keys only if its bottom vertex does, so once no vertex
-    does and no merge has clashed, the partition is proper if its quotient
-    order is acyclic.
+    built by ``index``, which a search calls before its first merge.
+
+    Under a partition p a cell's keys are (X | p(own), X) for its bottom
+    vertex's (X, X), and its own event e's edge there leads to X | p(e), so
+    the co-occurrence table is the full one.  A cell keeps two keys exactly
+    when its bottom vertex does, and vertices come first.  Cells on distinct
+    bottom vertices share a key only if those vertices do.  If no vertices
+    do, no own class is in its bottom vertex's X, which would share (X, X)
+    with the target of that event's edge; so two cells clash exactly when
+    they share a bottom vertex and own classes, then at its first X too.  So
+    a merge clashes here exactly when it would on every configuration, and
+    once no vertex holds two keys the partition is proper if acyclic.
     """
 
     def __init__(self, covering: Covering):
         self.cells: list[str] = []
         self.keys: list[tuple[int, int]] = []
         self.span: dict[str, slice] = {}
-        for cell, ms in covering.masks.items():
+        for cell, ms in covering.keys.items():
             self.span[cell] = slice(len(self.keys), len(self.keys) + len(ms))
             self.cells += [cell] * len(ms)
             self.keys += ms
@@ -375,13 +385,13 @@ def _partition_keys(covering: Covering, partition: EventPartition):
     """The class-index tuple of ``partition``, and each cell's keys under it."""
     part = class_indices(covering.ue.reps, partition)
     table = _class_bits(part)
-    return part, ((c, _cell_keys(ms, table)) for c, ms in covering.masks.items())
+    return part, ((c, _cell_keys(ms, table)) for c, ms in covering.keys.items())
 
 
 def _proper(h: Hda, covering: Covering, part: Sequence[int], cell_keys):
     """``check_proper`` and ``build_embedding`` for a class-index tuple,
-    given (cell, keys) for every cell: the keys of its configurations under
-    ``part``, read lazily and only once the order is acyclic.
+    given (cell, keys) for every cell: the keys of its ``Covering.keys`` rows
+    under ``part``, read lazily and only once the order is acyclic.
 
     Returns (the sculpture, None) or (None, the violation).
     """
@@ -515,7 +525,7 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
     keys = state.keys
     # final[i]: (configuration, its cell's anchor) for each configuration
     # other than an anchor whose last label is i - 1; both keys are final
-    # from depth i on
+    # from depth i on, and only vertices have more than one configuration
     final: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
     for at in state.span.values():
         anchor = min(range(at.start, at.stop), key=lambda j: keys[j][0].bit_length())
@@ -566,7 +576,7 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
 
 def _length_mismatch(h: Hda, covering: Covering):
     for cell in h.grade(0):
-        sizes = list(dict.fromkeys(s.bit_count() for s, _ in covering.masks[cell]))
+        sizes = list(dict.fromkeys(s.bit_count() for s, _ in covering.keys[cell]))
         if len(sizes) > 1:   # the first size and the first other one
             return Witness("length_mismatch", cell=cell,
                            lengths=tuple(sorted(sizes[:2])))
@@ -591,7 +601,7 @@ def _homotopy_pair(covering: Covering, cell: str,
     partition.
     """
     by_quotient: dict[tuple[int, int], int] = {}
-    for (_, t), key in zip(covering.masks[cell], keys):
+    for (_, t), key in zip(covering.keys[cell], keys):
         by_quotient.setdefault(key, t)
     position, declared = covering.ue.position, covering._hda.base.declaration_index
     ta, *others = by_quotient.values()
@@ -799,10 +809,10 @@ def repair_search(h: Hda, covering: Covering | None = None,
     check_budget()
     root = tuple(range(len(ue.reps)))
     stack = []   # per expanded node, the walk of its matchings (its children)
-    if all(len(covering.masks[v]) == 1 for v in h.grade(0)):
+    if all(len(covering.keys[v]) == 1 for v in h.grade(0)):
         # nor does any cell, so the root fails only on a clash or, for an
         # unordered automaton passed in directly, on its order
-        sculpture, violation = _proper(h, covering, root, covering.masks.items())
+        sculpture, violation = _proper(h, covering, root, covering.keys.items())
         if sculpture is not None:
             return Verdict(True, partition=classes_by_label(ue.reps, root),
                            sculpture=sculpture, nodes_explored=1, ue=ue)

@@ -451,6 +451,26 @@ def test_repair_stops_at_a_clash_of_the_root(name):
     assert v.witness == alone.witness
 
 
+# The witness of each corpus automaton that ends in a label_clash.  Which
+# of several clashes a search reports first depends on the rows its quotient
+# state holds, so the reported cells and configuration are pinned.
+PINNED_CLASHES = {
+    "wheel": {"kind": "label_clash", "cells": ["2", "7"],
+              "config": [["a2", "b2", "c1"], ["a2", "b2", "c1"]]},
+    "broken_box": {"kind": "label_clash", "cells": ["011a", "011b"],
+                   "config": [["00x", "0x0"], ["00x", "0x0"]]},
+    "speed_game": {"kind": "label_clash", "cells": ["10a", "10b"],
+                   "config": [["d1"], ["d1"]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CLASHES))
+def test_label_clash_witnesses_are_pinned(name):
+    from hdasculpt import verdict_to_json
+    v = decide_sculptable(corpus.fixture(name).build())
+    assert verdict_to_json(v)["witness"] == PINNED_CLASHES[name]
+
+
 def test_repair_finds_matchbox_embedding():
     v = repair_search(corpus.matchbox())
     assert v.sculptable and v.sculpture.d == 3
@@ -867,18 +887,33 @@ def test_linear_extension_masks_equal_the_transitive_closure(kernel_cases):
     assert outcomes[True] > 50 and outcomes[False] > 50
 
 
+@pytest.fixture(scope="module")
+def quotient_cases(kernel_cases, merged_complexes):
+    return [*kernel_cases, *_covered(f.build() for f in corpus.fixtures()),
+            *merged_complexes]
+
+
 @settings(max_examples=200, deadline=None)
 @given(hst.data())
-def test_quotient_state_tracks_the_class_bit_table(kernel_cases, data):
-    # random merge sequences on one state: after each merge the keys are
-    # those the class-bit table gives, a merge clashes exactly when two
-    # distinct cells then share a key, and undoing restores keys and owners;
-    # after every merge, refused merge and undo, each cell's count is the
-    # number of its distinct keys
+def test_quotient_state_tracks_the_class_bit_table(quotient_cases, data):
+    # random merge sequences on one state, which holds every configuration
+    # of a vertex and only the first of any other cell: after each merge its
+    # keys are those the class-bit table gives, a merge clashes exactly when
+    # two distinct cells then share a key on the full covering, and undoing
+    # restores keys and owners; after every merge, refused merge and undo,
+    # each cell's count is the number of its distinct keys, and a vertex's
+    # is the number of its distinct keys on the full covering
     from hdasculpt.decision import _cell_keys, _clash, _class_bits, _Quotient
-    h, cov = data.draw(hst.sampled_from(kernel_cases))
+    h, cov = data.draw(hst.sampled_from(quotient_cases))
     m = len(cov.ue.reps)
+    index = {r: i for i, r in enumerate(cov.ue.reps)}
+    own = {c: [index[lab] for lab in multilabel(h.base, c, cov.ue)] for c in h.all_cells()}
+    bottom = {}
+    for cell in h.all_cells():
+        bottom[cell] = cell if h.dim(cell) == 0 else bottom[h.s(cell, 1)]
     state = _Quotient(cov)
+    assert len(state.keys) == sum(
+        len(cov.masks[c]) if h.dim(c) == 0 else 1 for c in h.all_cells())
     clash = state.index()
     assert clash == _clash(cov.masks.items())
     if clash is not None or m < 2:
@@ -887,14 +922,17 @@ def test_quotient_state_tracks_the_class_bit_table(kernel_cases, data):
     def snapshot():
         return list(state.keys), dict(state.owner), dict(state.held)
 
-    def assert_counts():
+    def assert_counts(part):
         assert state.held == {c: len(set(keys)) for c, keys in state.cell_keys()}
+        table = _class_bits(part)
+        assert all(state.held[v] == len(set(_cell_keys(cov.masks[v], table)))
+                   for v in h.grade(0))
 
     def differing(s1, s2):
         return data.draw(hst.sampled_from(
             [c for c in range(m) if s1 >> c & 1 and not s2 >> c & 1] or [0]))
 
-    assert_counts()
+    assert_counts(tuple(range(m)))
     part, trail = tuple(range(m)), []
     for _ in range(data.draw(hst.integers(0, 2 * m))):
         split = [sorted(set(keys)) for _, keys in state.cell_keys()
@@ -913,22 +951,30 @@ def test_quotient_state_tracks_the_class_bit_table(kernel_cases, data):
             continue
         child = tuple(lo if c == hi else c for c in part)
         table = _class_bits(child)
-        want = [(c, _cell_keys(ms, table)) for c, ms in cov.masks.items()]
+        full = {c: _cell_keys(ms, table) for c, ms in cov.masks.items()}
         before = snapshot()
         undo, clash = state.merge(part, lo, hi)
-        assert (clash is None) == (_clash(want) is None)
-        assert_counts()
+        assert (clash is None) == (_clash(full.items()) is None)
+        assert_counts(part if clash is not None else child)
         if clash is not None:
             assert clash[0] != clash[1]
             assert snapshot() == before
             continue
-        assert list(state.cell_keys()) == want
+        assert list(state.cell_keys()) == [(c, _cell_keys(ms, table))
+                                           for c, ms in cov.keys.items()]
         assert state.owner == dict(zip(state.keys, state.cells))
-        trail.append((undo, before))
+        # no vertex shares a key now, so no own class of a cell is done at
+        # its bottom vertex, and its keys are that vertex's with those
+        # classes running
+        for cell, keys in full.items():
+            classes = sum({table[0][e] for e in own[cell]})
+            assert all(not classes & t for _, t in full[bottom[cell]])
+            assert keys == [(t | classes, t) for _, t in full[bottom[cell]]]
+        trail.append((undo, before, part))
         part = child
-    for undo, before in reversed(trail):
+    for undo, before, parent in reversed(trail):
         state.undo(undo)
-        assert_counts()
+        assert_counts(parent)
         assert snapshot() == before
 
 
@@ -958,13 +1004,18 @@ def _merged_complexes(count: int):
     return out
 
 
+@pytest.fixture(scope="module")
+def merged_complexes():
+    return _merged_complexes(200)
+
+
 def test_a_cells_configurations_are_its_bottom_vertexs_with_its_events_running(
-        kernel_cases):
+        kernel_cases, merged_complexes):
     # every rooted path to a cell is homotopic to a sequential path to the
     # cell's bottom vertex followed by the climb into the cell; the repair
     # search and the covering's single raise rest on this
     cases = [*kernel_cases, *_covered(f.build() for f in corpus.fixtures()),
-             *_merged_complexes(200)]
+             *merged_complexes]
     higher = 0
     for h, cov in cases:
         index = {r: i for i, r in enumerate(cov.ue.reps)}
@@ -1251,3 +1302,34 @@ def test_search_free_automata_never_index_the_quotient(monkeypatch):
     for h in automata:
         assert decide_sculptable(h).sculptable
     assert calls == []
+
+
+def test_decisions_never_list_every_configuration(monkeypatch):
+    # the searches and the proper check read only Covering.keys, which
+    # holds every configuration of a vertex and the first of any other
+    # cell; the full table is built only for a caller that reads it
+    from test_construction import WORKLOADS
+
+    from hdasculpt import parse_pv, pv_to_complex, verdict_to_json
+    from hdasculpt.decision import Covering
+    from hdasculpt.randgen import random_hda_batch
+
+    def unread(self):
+        raise AssertionError("Covering.masks was read")
+
+    monkeypatch.setattr(Covering, "masks", property(unread))
+    automata = [f.build() for f in corpus.fixtures()]
+    automata += random_hda_batch(7, 300, max_events=10)
+    automata += [pv_to_complex(parse_pv(text)).hda
+                 for text in {**WORKLOADS.PV_SEARCH, **WORKLOADS.GRID_PV}.values()]
+    kinds = collections.Counter()
+    for h in automata:
+        try:
+            v = decide_sculptable(h)
+        except HdaError:
+            continue
+        verdict_to_json(v, universal_events(h.base))
+        kinds["sculptable" if v.sculptable else v.witness.kind] += 1
+    assert kinds["sculptable"] and kinds["label_clash"] and kinds["exhausted"]
+    with pytest.raises(AssertionError, match="Covering.masks was read"):
+        path_covering(corpus.empty_square()).configs

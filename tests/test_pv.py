@@ -344,6 +344,37 @@ def test_repair_search_agrees_with_the_oracle_on_merged_pv_programs():
     assert "label_clash" in kinds
 
 
+# The label_clash witness of each merge above whose repair search ends in
+# one, by position in the list.  The quotient state holds only the first
+# configuration of a cell other than a vertex, which is proven not to change
+# whether a merge clashes, but not which clash it reports first; merges 8 and
+# 20 report a clash of two edges.
+MERGED_CLASHES = {
+    4: {"kind": "label_clash", "cells": ["1,1", "0,2"],
+        "config": [["0,0s", "0s,0"], ["0,0s", "0s,0"]]},
+    8: {"kind": "label_clash", "cells": ["1,0s", "1s,0"],
+        "config": [["0,0s", "0s,0"], ["0s,0"]]},
+    17: {"kind": "label_clash", "cells": ["2,1", "3,0"],
+         "config": [["0,0s", "0s,0", "1s,0"], ["0,0s", "0s,0", "1s,0"]]},
+    20: {"kind": "label_clash", "cells": ["2,0s", "2s,0"],
+         "config": [["0,0s", "0s,0", "1s,0"], ["0s,0", "1s,0"]]},
+    22: {"kind": "label_clash", "cells": ["3s,2", "4,1s"],
+         "config": [["0,0s", "0,1s", "0s,0", "1s,0", "2s,2", "3s,2"],
+                    ["0,0s", "0,1s", "0s,0", "1s,0", "2s,2"]]},
+}
+
+
+def test_merged_pv_programs_report_their_pinned_clashes():
+    from hdasculpt import repair_search, verdict_to_json
+    clashes = {}
+    for i, h in enumerate(_merged_pv_programs()):
+        v = repair_search(h)
+        if not v.sculptable and v.witness.kind == "label_clash":
+            clashes[i] = verdict_to_json(v)["witness"]
+            assert v.nodes_explored == 1
+    assert clashes == MERGED_CLASHES
+
+
 def test_grid_limit_is_checked_before_any_cell_is_enumerated(monkeypatch):
     # three processes of 30 actions: a 31 x 31 x 31 grid of positions
     prog = parse_pv(("P(a) V(a) " * 15 + "\n") * 3)
