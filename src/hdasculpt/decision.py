@@ -188,9 +188,14 @@ def _cell_keys(masks, table) -> list[tuple[int, int]]:
 
 
 def _key_config(ue: UniversalEvents, key: tuple[int, int]) -> StConfig:
-    s, t = key
-    return StConfig(frozenset(r for i, r in enumerate(ue.reps) if s >> i & 1),
-                    frozenset(r for i, r in enumerate(ue.reps) if t >> i & 1))
+    """The configuration of a key, its labels read off the set bits only."""
+    reps, labels = ue.reps, ([], [])
+    for mask, found in zip(key, labels):
+        while mask:
+            low = mask & -mask
+            found.append(reps[low.bit_length() - 1])
+            mask ^= low
+    return StConfig(*map(frozenset, labels))
 
 
 def _clash(keys):
@@ -210,16 +215,15 @@ def _clash(keys):
 
 
 class _Quotient:
-    """The quotient key of every ``Covering.keys`` row under a partition that
-    a search refines one merge at a time and coarsens back on backtrack.
-
-    This is trailing, as in MiniSat (Eén and Sörensson, SAT 2003): a merge
-    rewrites only the keys it changes and hands back the list that undoes
-    it.  The configurations are held flat, cell by cell in covering order,
-    with each cell's slice.  The index of the configurations starting each
-    event, the events each event is started together with, the owner of
-    each key, and per cell the number of distinct keys it ``held`` are
-    built by ``index``, which a search calls before its first merge.
+    """A search's partition, refined one merge at a time and coarsened back on
+    backtrack by trailing, as in MiniSat (Eén and Sörensson, SAT 2003):
+    ``merge`` rewrites only the keys it changes and pushes one record on the
+    ``trail``, and ``pop`` undoes the last.  The state owns ``part`` (the
+    class indices, discrete at first), per class the bits of its ``members``
+    and ``meet`` (the events started together with one of them), the key of
+    every ``Covering.keys`` row, flat by cell, and the rows starting each
+    event.  Unless the discrete partition has a ``clash`` (as ``_clash`` gives
+    it), it keeps each key's ``owner`` and each cell's count of keys ``held``.
 
     Under a partition p a cell's keys are (X | p(own), X) for its bottom
     vertex's (X, X), and its own event e's edge there leads to X | p(e), so
@@ -241,11 +245,24 @@ class _Quotient:
             self.span[cell] = slice(len(self.keys), len(self.keys) + len(ms))
             self.cells += [cell] * len(ms)
             self.keys += ms
-        self.m = len(covering.ue.reps)
-        self.starting: list[list[int]] = []
-        self.cooccur: list[int] = []   # event -> the bits of the events started with it
-        self.owner: dict[tuple[int, int], str] = {}
-        self.held: dict[str, int] = {}
+        m = len(covering.ue.reps)
+        self.part = list(range(m))
+        self.members = [1 << e for e in range(m)]
+        starting = self.starting = [[] for _ in range(m)]
+        meet = self.meet = [0] * m
+        for j, (s, _) in enumerate(self.keys):
+            rest = s
+            while rest:
+                low = rest & -rest
+                e = low.bit_length() - 1
+                starting[e].append(j)
+                meet[e] |= s
+                rest ^= low
+        self.trail: list = []   # per merge: lo, hi, lo's meet before, the keys moved
+        self.clash = _clash(self.cell_keys())
+        if self.clash is None:   # a cell's configurations have distinct masks
+            self.owner: dict[tuple[int, int], str] = dict(zip(self.keys, self.cells))
+            self.held = {cell: at.stop - at.start for cell, at in self.span.items()}
 
     def cell_keys(self):
         """(cell, that cell's keys) per cell, in covering order."""
@@ -259,42 +276,19 @@ class _Quotient:
         return Sculpture(h, len(events), _images(
             events, {cell: (keys[at.start],) for cell, at in self.span.items()}))
 
-    def index(self):
-        """Build the index and the co-occurrence table, and the owner map
-        unless the discrete partition already clashes; returns that clash,
-        as ``_clash`` gives it, or None."""
-        starting = self.starting = [[] for _ in range(self.m)]
-        cooccur = self.cooccur = [0] * self.m
-        for j, (s, _) in enumerate(self.keys):
-            rest = s
-            while rest:
-                low = rest & -rest
-                e = low.bit_length() - 1
-                starting[e].append(j)
-                cooccur[e] |= s
-                rest ^= low
-        clash = _clash(self.cell_keys())
-        if clash is None:   # a cell's configurations have distinct masks
-            self.owner = dict(zip(self.keys, self.cells))
-            self.held = {cell: at.stop - at.start for cell, at in self.span.items()}
-        return clash
-
-    def merge(self, part: Sequence[int], lo: int, hi: int):
-        """Merge class ``hi`` of ``part`` into class ``lo``.
-
-        Rewrites only the keys holding ``hi``: those of the configurations
-        that start one of its events.  Returns (the undo list, None), or,
-        once a rewritten key is another cell's, (None, that clash as
-        ``_clash`` gives it) after undoing itself.  Every configuration on a
-        key holding ``hi`` moves here, so the old key is dropped, once.
-        """
+    def merge(self, lo: int, hi: int):
+        """Merge class ``hi`` into the smaller ``lo``: relabel its events, the
+        bits of ``members[hi]`` lowest first, and rewrite the keys of the
+        configurations starting them.  Returns None, or, undone, the first
+        clash of a rewritten key with another cell's, as ``_clash`` does."""
         keys, cells, owner, starting = self.keys, self.cells, self.owner, self.starting
-        held = self.held
+        held, part, members, meet = self.held, self.part, self.members, self.meet
         hb, lb = 1 << hi, 1 << lo
         moved = []
-        for e in range(hi, len(part)):   # a class's events follow its index
-            if part[e] != hi:
-                continue
+        rest = members[hi]
+        while rest:
+            low = rest & -rest
+            e = low.bit_length() - 1
             for j in starting[e]:
                 old = s, t = keys[j]
                 if not s & hb:
@@ -305,16 +299,33 @@ class _Quotient:
                 if first is None:
                     owner[new] = cell
                 elif first != cell:
-                    self.undo(moved)
-                    return None, (first, cell, new)
+                    # hi's events below e are relabelled already
+                    self._restore(members[hi] & (low - 1), hi, moved)
+                    return first, cell, new
+                # every configuration on old moves here, and the first drops it
                 dropped = owner.pop(old, None) is not None
                 held[cell] += (first is None) - dropped
                 keys[j] = new
                 moved.append((j, old, new, first is None, dropped))
-        return moved, None
+            part[e] = lo
+            rest ^= low
+        self.trail.append((lo, hi, meet[lo], moved))
+        members[lo] |= members[hi]
+        meet[lo] |= meet[hi]
+        return None
 
-    def undo(self, moved) -> None:
-        keys, cells, owner, held = self.keys, self.cells, self.owner, self.held
+    def pop(self) -> None:
+        """Undo the last merge on the trail."""
+        lo, hi, self.meet[lo], moved = self.trail.pop()
+        self.members[lo] ^= self.members[hi]   # hi's are as its merge left them
+        self._restore(self.members[hi], hi, moved)
+
+    def _restore(self, events: int, label: int, moved) -> None:
+        keys, cells, owner, held, part = self.keys, self.cells, self.owner, self.held, self.part
+        while events:
+            low = events & -events
+            part[low.bit_length() - 1] = label
+            events ^= low
         for j, old, new, fresh, dropped in reversed(moved):
             keys[j] = old
             cell = owner[old] = cells[j]
@@ -503,14 +514,14 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
     TAOCP 4A, 7.2.1.5), built one label at a time.  A prefix stands for its
     classes with every later label a singleton, and every partition below it
     is a coarsening of that; so once two distinct cells share a quotient
-    configuration the whole subtree is skipped.  Assigning a label to a
-    class is one merge on the quotient state, undone on backtrack.  That
-    merge rewrites only the keys of the configurations starting the label,
-    so a configuration's key is final once its last label is assigned; once
-    it differs from its cell's anchor (the configuration whose last label
-    comes first), that cell keeps two keys at every leaf below, and the
-    subtree is skipped too.  A leaf is proper when its quotient order is
-    acyclic, so the partition returned is the first proper one in the
+    configuration the whole subtree is skipped.  Assigning a label to a class
+    is one merge on the quotient state, which holds the prefix, popped on
+    backtrack.  That merge rewrites only the keys of the configurations
+    starting the label, so a configuration's key is final once its last label
+    is assigned; once it differs from its cell's anchor (the configuration
+    whose last label comes first), that cell keeps two keys at every leaf
+    below, and the subtree is skipped too.  A leaf is proper when its quotient
+    order is acyclic, so the partition returned is the first proper one in the
     enumeration.  ``nodes_explored`` counts the prefixes checked, not the
     partitions.
     """
@@ -522,7 +533,7 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
         raise ResourceLimitError(
             f"{m} universal events exceeds the exhaustive-search bound {max_events}")
     state = _Quotient(covering)
-    keys = state.keys
+    keys, part = state.keys, state.part   # the prefix's classes, later labels singletons
     # final[i]: (configuration, its cell's anchor) for each configuration
     # other than an anchor whose last label is i - 1; both keys are final
     # from depth i on, and only vertices have more than one configuration
@@ -532,7 +543,6 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
         for j in range(at.start, at.stop):
             if j != anchor:
                 final[keys[j][0].bit_length()].append((j, anchor))
-    part = list(range(m))   # the prefix's classes, later labels singletons
     firsts = [0] if m else []   # the earliest label of each class, by digit
     nodes = 1
 
@@ -547,21 +557,18 @@ def brute_force_search(h: Hda, covering: Covering | None = None,
             return None if events is None else (tuple(part), state.sculpture(h, events))
         for first in firsts:
             nodes += 1
-            undo, clash = state.merge(part, first, i)
-            if clash is None:
-                part[i] = first
+            if state.merge(first, i) is None:
                 found = extend(i + 1)
                 if found is not None:
                     return found
-                part[i] = i
-                state.undo(undo)
+                state.pop()
         nodes += 1   # a new class: i stays the singleton the prefix took it for
         firsts.append(i)
         found = extend(i + 1)
         firsts.pop()
         return found
 
-    found = extend(min(m, 1)) if state.index() is None else None
+    found = extend(min(m, 1)) if state.clash is None else None
     if found is None:
         return Verdict(False, witness=Witness(
             "exhausted", summary=f"no proper identification; {nodes} prefixes checked"),
@@ -761,18 +768,18 @@ def repair_search(h: Hda, covering: Covering | None = None,
     both would put two events started together in one class, while a
     matching merges disjoint pairs of classes, each checked for that.
 
-    The root, the discrete partition, is decided alone when no state holds
-    two configurations.  Otherwise one quotient state, indexed at the root,
-    serves the whole search, and a clash of the root is the witness at once.
-    A child is built when it is pulled, one matched position at a time, by
-    merges on that state; its merges stay applied while it is expanded and
-    are undone when its parent's next child is built.  A prefix whose merge
-    makes two distinct cells share a quotient configuration is dropped with
-    all its completions: merging never separates them, so no coarsening is
-    proper.  The first such clash is kept as the witness, and the nodes left
-    are visited in the same order as without the pruning.  The first node
-    with an acyclic order where no state holds two keys is proper (see
-    ``_Quotient``).  ``nodes_explored`` counts the root and the children
+    The root, the discrete partition, is decided alone when no state holds two
+    configurations.  Otherwise one quotient state, built at the root, holds
+    the node's partition and class tables throughout, and a clash of the root
+    is the witness at once.  A child is built when it is pulled, one matched
+    position at a time, by merges on that state; its merges stay applied while
+    it is expanded and are popped when its parent's next child is built.  A
+    prefix whose merge makes two distinct cells share a quotient configuration
+    is dropped with all its completions: merging never separates them, so no
+    coarsening is proper.  The first such clash is kept as the witness, and
+    the nodes left are visited in the same order as without the pruning.  The
+    first node with an acyclic order where no state holds two keys is proper
+    (see ``_Quotient``).  ``nodes_explored`` counts the root and the children
     pulled; the budget bounds those and the dropped prefixes together.
     """
     if covering is None:
@@ -789,22 +796,21 @@ def repair_search(h: Hda, covering: Covering | None = None,
         if nodes + pruned > node_budget:
             raise ResourceLimitError(f"repair search exceeded {node_budget} nodes")
 
-    def step(edges_a, edges_b, k, j, cur):
-        """``cur`` with the classes of position k and its target j merged
-        under the smaller index, for ``_matchings``; None on a clash."""
+    def step(edges_a, edges_b, k, j, part):
+        """For ``_matchings``: the state's ``part`` once position k's class and
+        target j's are merged, with ``pop`` to undo it; None on a clash."""
         nonlocal pruned, first_clash
-        x, y = cur[edges_a[k]], cur[edges_b[j]]
+        x, y = part[edges_a[k]], part[edges_b[j]]
         if x == y:
-            return cur, None
-        lo, hi = (x, y) if x < y else (y, x)
-        undo, clash = state.merge(cur, lo, hi)
+            return part, None
+        clash = state.merge(min(x, y), max(x, y))
         if clash is not None:
             pruned += 1
             check_budget()
             if first_clash is None:
                 first_clash = _clash_witness(ue, clash)
             return None
-        return tuple([lo if c == hi else c for c in cur]), lambda: state.undo(undo)
+        return part, state.pop
 
     check_budget()
     root = tuple(range(len(ue.reps)))
@@ -821,17 +827,16 @@ def repair_search(h: Hda, covering: Covering | None = None,
                                   config=violation.configs[0])
     else:
         state = _Quotient(covering)
-        clash = state.index()
-        if clash is not None:
-            return Verdict(False, witness=_clash_witness(ue, clash), nodes_explored=1)
-        stack.append(iter([root]))
+        if state.clash is not None:
+            return Verdict(False, witness=_clash_witness(ue, state.clash), nodes_explored=1)
+        stack.append(iter([state.part]))
     divergence: dict = {}   # see _homotopy_pair
     while stack:
         part = next(stack[-1], None)
         if part is None:
             stack.pop()
             continue
-        if part is not root:   # a child
+        if len(stack) > 1:   # a child; the root is the first iterator's
             nodes += 1
             check_budget()
         below = _linear_extension(covering.gens, part)
@@ -839,18 +844,13 @@ def repair_search(h: Hda, covering: Covering | None = None,
             # each pair a matching merges is incomparable in its parent's
             # order, but two pairs of one matching can close a cycle
             continue
-        members: dict[int, int] = {}   # class -> the bits of its events
-        meets: dict[int, int] = {}     # class -> the events co-occurring with it
-        for i, c in enumerate(part):
-            members[c] = members.get(c, 0) | 1 << i
-            meets[c] = meets.get(c, 0) | state.cooccur[i]
 
         def compatible(x, y):
             # merging order-comparable classes always collapses a square's
             # concurrent pair somewhere along the connecting chain, and
             # events started together along some path may never be identified
             return not (below[y] >> x & 1 or below[x] >> y & 1
-                        or meets[x] & members[y])
+                        or state.meet[x] & state.members[y])
 
         # repair the most constrained conflict: fewest admissible pairings
         # first, shorter pairs breaking ties, so forced repairs chain before

@@ -899,10 +899,11 @@ def test_quotient_state_tracks_the_class_bit_table(quotient_cases, data):
     # random merge sequences on one state, which holds every configuration
     # of a vertex and only the first of any other cell: after each merge its
     # keys are those the class-bit table gives, a merge clashes exactly when
-    # two distinct cells then share a key on the full covering, and undoing
-    # restores keys and owners; after every merge, refused merge and undo,
-    # each cell's count is the number of its distinct keys, and a vertex's
-    # is the number of its distinct keys on the full covering
+    # two distinct cells then share a key on the full covering, and popping
+    # restores keys and owners; after every merge, refused merge and pop,
+    # each cell's count is the number of its distinct keys, a vertex's is
+    # the number of its distinct keys on the full covering, and the state's
+    # partition, members and meet are those of the expected partition
     from hdasculpt.decision import _cell_keys, _clash, _class_bits, _Quotient
     h, cov = data.draw(hst.sampled_from(quotient_cases))
     m = len(cov.ue.reps)
@@ -914,19 +915,32 @@ def test_quotient_state_tracks_the_class_bit_table(quotient_cases, data):
     state = _Quotient(cov)
     assert len(state.keys) == sum(
         len(cov.masks[c]) if h.dim(c) == 0 else 1 for c in h.all_cells())
-    clash = state.index()
-    assert clash == _clash(cov.masks.items())
-    if clash is not None or m < 2:
+    assert state.clash == _clash(cov.masks.items())
+    if state.clash is not None or m < 2:
         return
+    # the events started together with each event, over every configuration
+    meet = [0] * m
+    for ms in cov.masks.values():
+        for s, _ in ms:
+            for e in range(m):
+                if s >> e & 1:
+                    meet[e] |= s
 
     def snapshot():
-        return list(state.keys), dict(state.owner), dict(state.held)
+        return list(state.keys), dict(state.owner), dict(state.held), len(state.trail)
 
     def assert_counts(part):
         assert state.held == {c: len(set(keys)) for c, keys in state.cell_keys()}
         table = _class_bits(part)
         assert all(state.held[v] == len(set(_cell_keys(cov.masks[v], table)))
                    for v in h.grade(0))
+        assert state.part == list(part)
+        members, meets = {}, {}
+        for e, c in enumerate(part):
+            members[c] = members.get(c, 0) | 1 << e
+            meets[c] = meets.get(c, 0) | meet[e]
+        assert {c: state.members[c] for c in members} == members
+        assert {c: state.meet[c] for c in meets} == meets
 
     def differing(s1, s2):
         return data.draw(hst.sampled_from(
@@ -953,7 +967,7 @@ def test_quotient_state_tracks_the_class_bit_table(quotient_cases, data):
         table = _class_bits(child)
         full = {c: _cell_keys(ms, table) for c, ms in cov.masks.items()}
         before = snapshot()
-        undo, clash = state.merge(part, lo, hi)
+        clash = state.merge(lo, hi)
         assert (clash is None) == (_clash(full.items()) is None)
         assert_counts(part if clash is not None else child)
         if clash is not None:
@@ -970,12 +984,53 @@ def test_quotient_state_tracks_the_class_bit_table(quotient_cases, data):
             classes = sum({table[0][e] for e in own[cell]})
             assert all(not classes & t for _, t in full[bottom[cell]])
             assert keys == [(t | classes, t) for _, t in full[bottom[cell]]]
-        trail.append((undo, before, part))
+        assert len(state.trail) == len(trail) + 1
+        trail.append((before, part))
         part = child
-    for undo, before, parent in reversed(trail):
-        state.undo(undo)
+    for before, parent in reversed(trail):
+        state.pop()
         assert_counts(parent)
         assert snapshot() == before
+    assert state.trail == []
+
+
+def test_a_refused_merge_of_several_events_leaves_the_state_as_it_was():
+    # a merge relabels its class's events one at a time and can clash at
+    # any of them; refused, it leaves the partition, the class tables, the
+    # keys and the trail as they were, and popping an accepted one does too
+    # (random merge sequences meet a clash after the first event rarely)
+    from hdasculpt.decision import _Quotient
+    refused = 0
+    for f in corpus.fixtures():
+        try:
+            cov = path_covering(f.build())
+        except HdaError:
+            continue
+        state = _Quotient(cov)
+        if state.clash is not None:
+            continue
+
+        def snapshot():
+            return (list(state.part), list(state.members), list(state.meet),
+                    list(state.keys), dict(state.owner), dict(state.held),
+                    len(state.trail))
+
+        for a, b in itertools.combinations(range(len(cov.ue.reps)), 2):
+            start = snapshot()
+            if state.merge(a, b) is not None:
+                continue
+            for lo in range(a):
+                if state.part[lo] != lo:
+                    continue
+                before = snapshot()
+                if state.merge(lo, a) is None:
+                    state.pop()
+                else:
+                    refused += 1
+                assert snapshot() == before
+            state.pop()
+            assert snapshot() == start
+    assert refused > 100
 
 
 def _merged_complexes(count: int):
@@ -1295,7 +1350,6 @@ def test_search_free_automata_never_index_the_quotient(monkeypatch):
     from hdasculpt.decision import _Quotient
     calls = []
     monkeypatch.setattr(_Quotient, "__init__", lambda self, cov: calls.append(cov))
-    monkeypatch.setattr(_Quotient, "index", lambda self: calls.append(self))
     automata = [make_grid(*sizes) for sizes in WORKLOADS.GRID_SIZES]
     automata += [pv_to_complex(parse_pv(WORKLOADS.GRID_PV[name])).hda
                  for name in ("distinct3", "capacity2")]

@@ -8,7 +8,7 @@ from hdasculpt import (Hda, IllegalPathError, InvalidStructureError, Path, Step,
                        is_connected, is_non_selflinked, make_bulk,
                        normalize_path, path_covering, precubical, rooted_paths,
                        validate_hda, validate_path, validate_precubical)
-from hdasculpt.precubical import reachable_cells
+from hdasculpt.precubical import Morphism, reachable_cells, validate_morphism
 
 
 def square_with_corners():
@@ -189,14 +189,47 @@ def test_acyclicity_agrees_with_the_closure_of_the_steps():
 # Paths
 
 
-def test_validate_path_rejects_bad_steps():
+@pytest.mark.parametrize("path, message", [
+    (Path("Z"), "start cell 'Z' missing"),
+    (Path("I", (Step("s", 1, "q9"),)), "step 0: target 'q9' missing"),
+    (Path("I", (Step("s", 1, "q3"),)), r"step 0: s_1\('q3'\) != 'I'"),
+    (Path("I", (Step("s", 2, "q1"),)), r"step 0: s_2\('q1'\) != 'I'"),
+    (Path("I", (Step("s", 1, "q1"), Step("t", 1, "B"))), r"step 1: t_1\('q1'\) != 'B'"),
+    (Path("I", (Step("t", 1, "A"),)), r"step 0: t_1\('I'\) != 'A'"),
+    (Path("I", (Step("x", 1, "q1"),)), "step 0: bad direction 'x'"),
+], ids=["missing_start", "missing_target", "s_face", "s_index", "t_face", "t_index",
+        "direction"])
+def test_validate_path_rejects_bad_steps(path, message):
     esq = corpus.empty_square()
     good = Path("I", (Step("s", 1, "q1"), Step("t", 1, "A")))
     validate_path(esq, good)
-    with pytest.raises(IllegalPathError):
-        validate_path(esq, Path("I", (Step("s", 1, "q3"),)))
-    with pytest.raises(IllegalPathError):
-        validate_path(esq, Path("I", (Step("s", 2, "q1"),)))
+    with pytest.raises(IllegalPathError, match=message):
+        validate_path(esq, path)
+
+
+@pytest.mark.parametrize("images, initial, kind, cells", [
+    ({"q": None}, None, "not_total", {"q"}),
+    ({"q": "p"}, None, "dangling_image", {"q"}),
+    ({"q": "l"}, None, "dimension", {"q"}),
+    ({"l": "b", "b": "l"}, None, "face_commutation", {"l", "b", "q"}),
+    ({}, ("00", "11"), "initial", {"00"}),
+], ids=["not_total", "dangling_image", "dimension", "face_commutation", "initial"])
+def test_validate_morphism_reports_each_kind_of_problem(images, initial, kind, cells):
+    # the identity of the filled square with some images changed: a missing
+    # image, one naming no cell, an edge for the square, the left and bottom
+    # edges swapped, and an initial corner sent to the opposite one
+    base = corpus.filled_square().base
+    mapping = {c: c for c in base.all_cells()}
+    assert validate_morphism(base, base, Morphism(mapping), initial=("00", "00")).ok
+    for cell, image in images.items():
+        if image is None:
+            del mapping[cell]
+        else:
+            mapping[cell] = image
+    report = validate_morphism(base, base, Morphism(mapping), initial)
+    assert not report.ok
+    assert {p.kind for p in report.problems} == {kind}
+    assert {p.cell for p in report.problems} == cells
 
 
 def test_normalize_already_canonical_climb():

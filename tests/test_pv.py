@@ -224,30 +224,33 @@ def test_repair_search_builds_each_child_only_when_it_pulls_it(monkeypatch):
 
 @pytest.mark.parametrize("text, d, nodes", [
     ("P(a) P(b) V(b) V(a) P(c) V(c)\nP(b) P(a) V(a) V(b) P(c) V(c)\n", 12, 3),
-    ("P(a) V(a)\n" * 4, 8, None),
-    ("P(a) V(a) P(a) V(a) P(a) V(a)\n" * 2, 12, None),
-], ids=["two_mutex_tail", "mutex4", "seq2x3"])
+    ("P(a) V(a)\n" * 4, 8, 23),
+    ("P(a) V(a)\n" * 5, 10, 60),
+    ("P(a) V(a) P(a) V(a) P(a) V(a)\n" * 2, 12, 10),
+    ("P(a) V(a) P(a) V(a) P(a) V(a) P(a) V(a)\n" * 2, 16, 17),
+], ids=["two_mutex_tail", "mutex4", "mutex5", "seq2x3", "seq2x4"])
 def test_branching_pv_programs_are_decided_within_the_default_budget(text, d, nodes):
-    # two_mutex with a tail, four processes on one mutex, and two processes
-    # taking one mutex three times each; the last two reach a clash early
-    # and are decided only because the search prunes below it
+    # two_mutex with a tail, four and five processes on one mutex, and two
+    # processes taking one mutex three and four times each; all but the
+    # first reach a clash early and are decided only because the search
+    # prunes below it; the node counts pin the search's path
     v = decide_sculptable(pv_to_complex(parse_pv(text)).hda)
     assert v.sculptable and v.d == d
-    assert nodes is None or v.nodes_explored == nodes
+    assert v.nodes_explored == nodes
 
 
-@pytest.mark.parametrize("text, d", [
-    ("P(a) P(b) P(c) V(c) V(b) V(a)\nP(c) P(b) P(a) V(a) V(b) V(c)\n", 12),
-    (TWO_MUTEX + "P(a) P(b) V(b) V(a)\n", 12),
+@pytest.mark.parametrize("text, d, nodes", [
+    ("P(a) P(b) P(c) V(c) V(b) V(a)\nP(c) P(b) P(a) V(a) V(b) V(c)\n", 12, 2),
+    (TWO_MUTEX + "P(a) P(b) V(b) V(a)\n", 12, 6),
     ("P(a) P(b) V(b) V(a) P(a) P(b) V(b) V(a)\n"
-     "P(b) P(a) V(a) V(b) P(b) P(a) V(a) V(b)\n", 16),
-    ("P(a) P(b) V(b) V(a) P(a) V(a)\nP(b) P(a) V(a) V(b) P(b) V(b)\n", 12),
+     "P(b) P(a) V(a) V(b) P(b) P(a) V(a) V(b)\n", 16, 5),
+    ("P(a) P(b) V(b) V(a) P(a) V(a)\nP(b) P(a) V(a) V(b) P(b) V(b)\n", 12, 4),
 ], ids=["three_res", "cross3", "two_mutex_x2", "twomutex_long"])
-def test_frontier_pv_programs_are_decided_within_the_default_budget(text, d):
+def test_frontier_pv_programs_are_decided_within_the_default_budget(text, d, nodes):
     # each has a root conflict with many matchings, nearly all of whose
     # prefixes already clash; three_res's has 328,746,151 matchings
     v = decide_sculptable(pv_to_complex(parse_pv(text)).hda)
-    assert v.sculptable and v.d == d
+    assert v.sculptable and v.d == d and v.nodes_explored == nodes
 
 
 # Two copies of two_mutex's first process beside twomutex_long's second: the
