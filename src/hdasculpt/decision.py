@@ -593,19 +593,19 @@ def _length_mismatch(h: Hda, covering: Covering):
 def _homotopy_pair(covering: Covering, cell: str,
                    keys: Sequence[tuple[int, int]], divergence: dict):
     """Two matched-length event sequences witnessing a conflict at the
-    vertex ``cell``, as the positions of their labels in ``ue.reps``.
+    vertex ``cell``, as the positions of their labels in ``ue.reps``, and
+    per position whether the two routes' states after it differ.
 
     Takes the sequential route (``Covering._arcs``) of one configuration
     per distinct quotient configuration, pairs the first (in covering
     order) with each other one, strips the arcs both share at the start and
     at the end so the pair spans exactly the divergence, and returns the
-    shortest pair together with the states the two routes pass through.
-    Ties are broken on the label positions, then on the edges' declaration
-    order, so cell names never decide.  Any two distinct configurations at
-    a state must be reconciled, so pairing with the first changes only
-    which conflict is repaired first.  ``divergence`` caches each pair by
-    (cell, terminated, terminated), since it does not depend on the
-    partition.
+    shortest pair.  Ties are broken on the label positions, then on the
+    edges' declaration order, so cell names never decide.  Any two distinct
+    configurations at a state must be reconciled, so pairing with the first
+    changes only which conflict is repaired first.  ``divergence`` caches
+    each pair by (cell, terminated, terminated), since it does not depend on
+    the partition.
     """
     by_quotient: dict[tuple[int, int], int] = {}
     for (_, t), key in zip(covering.keys[cell], keys):
@@ -625,22 +625,18 @@ def _homotopy_pair(covering: Covering, cell: str,
                    and ra[-1 - tail] == rb[-1 - tail]):
                 tail += 1
             ra, rb = ra[common:len(ra) - tail], rb[common:len(rb) - tail]
-            labels_a = tuple(position[e] for e, _ in ra)
-            labels_b = tuple(position[e] for e, _ in rb)
-            order_a = tuple(declared(e) for e, _ in ra)
-            order_b = tuple(declared(e) for e, _ in rb)
-            key = (len(ra), labels_a, labels_b, order_a, order_b)
-            alt = (len(ra), labels_b, labels_a, order_b, order_a)
-            if alt < key:
-                key, ra, rb = alt, rb, ra
-            pair = divergence[cell, ta, tb] = (key, [w for _, w in ra], [w for _, w in rb])
+            labels = [tuple(position[e] for e, _ in r) for r in (ra, rb)]
+            orders = [tuple(declared(e) for e, _ in r) for r in (ra, rb)]
+            key = min((len(ra), *labels, *orders), (len(ra), *labels[::-1], *orders[::-1]))
+            pair = divergence[cell, ta, tb] = (
+                key, [wa != wb for (_, wa), (_, wb) in zip(ra, rb)])
         if best is None or pair[0] < best[0]:
             best = pair
-    (_, labels_a, labels_b, _, _), states_a, states_b = best
-    return labels_a, labels_b, states_a, states_b
+    (_, labels_a, labels_b, _, _), diverged = best
+    return labels_a, labels_b, diverged
 
 
-def _matching_table(labels_a, labels_b, compatible, diverged=None):
+def _matching_table(labels_a, labels_b, compatible, diverged):
     """Each position's admissible targets, and a memo ``completions``: for
     each admissible prefix, keyed by the mask of the targets it uses, the
     number of admissible pairings that complete it; None when no pairing is
@@ -648,11 +644,12 @@ def _matching_table(labels_a, labels_b, compatible, diverged=None):
     prefix, so one memoized recursion from the empty prefix fills the memo,
     and ``completions[0]`` counts the pairings without listing them."""
     n = len(labels_a)
-    if (n < 2 or len(set(labels_a)) < n or len(set(labels_b)) < n
+    set_a = set(labels_a)
+    if (n < 2 or len(set_a) < n or len(set(labels_b)) < n
             or labels_a[0] == labels_b[0] or labels_a[-1] == labels_b[-1]):
         return None
     pos_b = {lab: j for j, lab in enumerate(labels_b)}
-    free_b = [j for j, lab in enumerate(labels_b) if lab not in set(labels_a)]
+    free_b = [j for j, lab in enumerate(labels_b) if lab not in set_a]
     targets = [[pos_b[lab]] if lab in pos_b else
                [j for j in free_b if not i == j == 0 and not i == j == n - 1
                 and compatible(lab, labels_b[j])]
@@ -665,8 +662,7 @@ def _matching_table(labels_a, labels_b, compatible, diverged=None):
         total = 0
         for j in targets[k]:
             step = used | 1 << j
-            if step == used or (step == (2 << k) - 1 and k < n - 1
-                                and diverged is not None and diverged[k]):
+            if step == used or (step == (2 << k) - 1 and k < n - 1 and diverged[k]):
                 continue   # j is taken, or the prefix maps onto itself at a cut
             count = completions.get(step)
             if count is None:
@@ -678,10 +674,9 @@ def _matching_table(labels_a, labels_b, compatible, diverged=None):
     return targets, completions
 
 
-def _matchings(table, step, start):
+def _matchings(table, step):
     """The admissible pairings of two label suffixes, in lexicographic order
-    of their targets, by one recursive walk of their ``_matching_table``
-    that carries a state from ``start`` down each prefix.
+    of their targets, by one recursive walk of their ``_matching_table``.
 
     Positions whose labels are already identified must pair with each other,
     since a proper identification never merges two events of one suffix, so
@@ -693,10 +688,10 @@ def _matchings(table, step, start):
     after position k).  Suffixes shorter than two positions admit none either.
 
     Only prefixes that some pairing completes are stepped into: those whose
-    count in ``completions`` is positive.  ``step(k, j, state)`` gives the
-    state once position k takes target j, with a callable undoing it or
-    None, or None to drop that prefix and its completions.  The walk yields
-    the state of each pairing, and undoes a prefix once its completions are
+    count in ``completions`` is positive.  ``step(k, j)`` applies position
+    k's taking target j and returns the callable undoing it, or None to drop
+    that prefix and its completions.  The walk yields True once per pairing,
+    with all its steps applied, and undoes a prefix once its completions are
     walked.
     """
     if table is None:
@@ -704,47 +699,44 @@ def _matchings(table, step, start):
     targets, completions = table
     n = len(targets)
 
-    def walk(k, used, state):
+    def walk(k, used):
         if k == n:
-            yield state
+            yield True
             return
         for j in targets[k]:
             if used >> j & 1 or not completions.get(used | 1 << j):
                 continue
-            stepped = step(k, j, state)
-            if stepped is None:
-                continue
-            longer, undo = stepped
-            yield from walk(k + 1, used | 1 << j, longer)
+            undo = step(k, j)
             if undo is not None:
+                yield from walk(k + 1, used | 1 << j)
                 undo()
 
-    yield from walk(0, 0, start)
+    yield from walk(0, 0)
 
 
 def _fewest_matchings(conflicts):
-    """The conflict with the fewest matchings, counting each and listing none.
+    """The conflict to repair, and its ``_matching_table``, from which the
+    repair search lists its matchings one child at a time; None when there
+    is none worth repairing.
 
-    ``conflicts`` yields (size, ``_matching_table`` arguments) pairs, read
-    lazily.  The first conflict with exactly one matching wins at once;
-    otherwise the least (count, size), the earliest on a tie.  Returns the
-    winner's index (or None), its count, its table, from which the repair
-    search lists its matchings one child at a time, and whether a conflict
-    read before the choice has none.
+    ``conflicts`` yields (size, ``_matching_table`` arguments, conflict)
+    triples and is read lazily; each conflict's matchings are counted, none
+    listed.  The first conflict with exactly one matching wins at once.
+    Otherwise a conflict with none is irreparable, so only forced repairs
+    are worth following, for the sake of a sharper witness, and the answer
+    is None once one has been read; else the least (count, size) wins, the
+    earliest on a tie.
     """
     best, dead = None, False
-    for index, (size, args) in enumerate(conflicts):
+    for size, args, conflict in conflicts:
         table = _matching_table(*args)
         count = 0 if table is None else table[1][0]
         if count == 1:
-            return index, 1, table, dead
+            return conflict, table
         dead |= not count
         if count and (best is None or (count, size) < best[0]):
-            best = (count, size), index, table
-    if best is None:
-        return None, 0, None, dead
-    (count, _), index, table = best
-    return index, count, table, dead
+            best = (count, size), conflict, table
+    return None if dead or best is None else best[1:]
 
 
 def _clash_witness(ue: UniversalEvents, clash) -> Witness:
@@ -771,9 +763,11 @@ def repair_search(h: Hda, covering: Covering | None = None,
     The root, the discrete partition, is decided alone when no state holds two
     configurations.  Otherwise one quotient state, built at the root, holds
     the node's partition and class tables throughout, and a clash of the root
-    is the witness at once.  A child is built when it is pulled, one matched
-    position at a time, by merges on that state; its merges stay applied while
-    it is expanded and are popped when its parent's next child is built.  A
+    is the witness at once.  Each node reads its partition off the state's
+    ``part``: the stack holds one ``_matchings`` walk per expanded node, and a
+    child is built when its parent's walk is pulled, one matched position at a
+    time, by merges on that state; its merges stay applied while it is
+    expanded and are popped when its parent's next child is built.  A
     prefix whose merge makes two distinct cells share a quotient configuration
     is dropped with all its completions: merging never separates them, so no
     coarsening is proper.  The first such clash is kept as the witness, and
@@ -796,21 +790,22 @@ def repair_search(h: Hda, covering: Covering | None = None,
         if nodes + pruned > node_budget:
             raise ResourceLimitError(f"repair search exceeded {node_budget} nodes")
 
-    def step(edges_a, edges_b, k, j, part):
-        """For ``_matchings``: the state's ``part`` once position k's class and
-        target j's are merged, with ``pop`` to undo it; None on a clash."""
+    def step(labels_a, labels_b, k, j):
+        """For ``_matchings``: merge position k's class with target j's, and
+        return ``state.pop`` to undo it, a no-op when they are one class
+        already, or None on a clash."""
         nonlocal pruned, first_clash
-        x, y = part[edges_a[k]], part[edges_b[j]]
+        x, y = state.part[labels_a[k]], state.part[labels_b[j]]
         if x == y:
-            return part, None
+            return lambda: None
         clash = state.merge(min(x, y), max(x, y))
-        if clash is not None:
-            pruned += 1
-            check_budget()
-            if first_clash is None:
-                first_clash = _clash_witness(ue, clash)
-            return None
-        return part, state.pop
+        if clash is None:
+            return state.pop
+        pruned += 1
+        check_budget()
+        if first_clash is None:
+            first_clash = _clash_witness(ue, clash)
+        return None
 
     check_budget()
     root = tuple(range(len(ue.reps)))
@@ -829,21 +824,26 @@ def repair_search(h: Hda, covering: Covering | None = None,
         state = _Quotient(covering)
         if state.clash is not None:
             return Verdict(False, witness=_clash_witness(ue, state.clash), nodes_explored=1)
-        stack.append(iter([state.part]))
+        stack.append(iter([True]))   # the root, as its one child
     divergence: dict = {}   # see _homotopy_pair
     while stack:
-        part = next(stack[-1], None)
-        if part is None:
+        if not next(stack[-1], False):
             stack.pop()
             continue
         if len(stack) > 1:   # a child; the root is the first iterator's
             nodes += 1
             check_budget()
+        part = state.part
         below = _linear_extension(covering.gens, part)
         if below is None:
             # each pair a matching merges is incomparable in its parent's
             # order, but two pairs of one matching can close a cycle
             continue
+        conflicted = [v for v in h.grade(0) if state.held[v] > 1]
+        if not conflicted:
+            return Verdict(True, partition=classes_by_label(ue.reps, part),
+                           sculpture=state.sculpture(h, below), nodes_explored=nodes,
+                           ue=ue)
 
         def compatible(x, y):
             # merging order-comparable classes always collapses a square's
@@ -852,32 +852,21 @@ def repair_search(h: Hda, covering: Covering | None = None,
             return not (below[y] >> x & 1 or below[x] >> y & 1
                         or state.meet[x] & state.members[y])
 
+        def conflicts():
+            for cell in conflicted:
+                labels_a, labels_b, diverged = _homotopy_pair(
+                    covering, cell, state.keys[state.span[cell]], divergence)
+                yield len(labels_a), (tuple(part[i] for i in labels_a),
+                                      tuple(part[i] for i in labels_b),
+                                      compatible, diverged), (labels_a, labels_b)
+
         # repair the most constrained conflict: fewest admissible pairings
         # first, shorter pairs breaking ties, so forced repairs chain before
         # anything branches
-        pairs = []
-
-        def conflicts():
-            for cell in h.grade(0):
-                if state.held[cell] > 1:
-                    labels_a, labels_b, states_a, states_b = _homotopy_pair(
-                        covering, cell, state.keys[state.span[cell]], divergence)
-                    pairs.append((labels_a, labels_b))
-                    yield len(labels_a), (
-                        *(tuple(part[i] for i in events) for events in pairs[-1]),
-                        compatible, [sa != sb for sa, sb in zip(states_a, states_b)])
-
-        chosen, count, table, dead_conflict = _fewest_matchings(conflicts())
-        if not pairs:
-            return Verdict(True, partition=classes_by_label(ue.reps, part),
-                           sculpture=state.sculpture(h, below), nodes_explored=nodes,
-                           ue=ue)
-        if dead_conflict and count > 1:
-            # an irreparable conflict remains, so only forced repairs are
-            # worth following for the sake of a sharper witness
-            chosen = None
+        chosen = _fewest_matchings(conflicts())
         if chosen is not None:
-            stack.append(_matchings(table, partial(step, *pairs[chosen]), part))
+            (labels_a, labels_b), table = chosen
+            stack.append(_matchings(table, partial(step, labels_a, labels_b)))
     if first_clash is not None:
         return Verdict(False, witness=first_clash, nodes_explored=nodes)
     return Verdict(False, witness=Witness(

@@ -10,6 +10,15 @@ from __future__ import annotations
 
 from .precubical import Hda
 
+# TeX's special characters, as an edge label writes them
+_TEX = str.maketrans({c: "\\" + c for c in "#$%&_{}"} | {
+    "\\": r"\textbackslash{}", "^": r"\textasciicircum{}", "~": r"\textasciitilde{}"})
+
+
+def _quoted(name: str) -> str:
+    """A DOT quoted ID, its backslashes and double quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
 
 def _layers(h: Hda) -> dict[str, int]:
     """Longest sequential distance from the initial state, per state."""
@@ -29,18 +38,17 @@ def _layers(h: Hda) -> dict[str, int]:
 
 
 def to_dot(h: Hda) -> str:
+    name = {c: _quoted(c) for c in h.all_cells()}
     lines = ["digraph hda {", "  rankdir=LR;"]
     for v in h.grade(0):
         shape = "doublecircle" if v == h.initial else "circle"
-        lines.append(f'  "{v}" [shape={shape}];')
+        lines.append(f"  {name[v]} [shape={shape}];")
     for e in h.grade(1):
-        lines.append(f'  "{h.s(e, 1)}" -> "{h.t(e, 1)}" [label="{e}"];')
+        lines.append(f"  {name[h.s(e, 1)]} -> {name[h.t(e, 1)]} [label={name[e]}];")
     for q in h.grade(2):
-        lines.append(f'  "{q}" [shape=box, style=filled, fillcolor=gray85];')
-        corner = h.s(h.s(q, 1), 1)
-        top = h.t(h.t(q, 1), 1)
-        lines.append(f'  "{q}" -> "{corner}" [style=dotted, arrowhead=none];')
-        lines.append(f'  "{q}" -> "{top}" [style=dotted, arrowhead=none];')
+        lines.append(f"  {name[q]} [shape=box, style=filled, fillcolor=gray85];")
+        for corner in (h.s(h.s(q, 1), 1), h.t(h.t(q, 1), 1)):
+            lines.append(f"  {name[q]} -> {name[corner]} [style=dotted, arrowhead=none];")
     lines.append("}")
     return "\n".join(lines)
 
@@ -70,6 +78,6 @@ def to_tikz(h: Hda) -> str:
         lines.append(f"  \\node[{style},inner sep=1.5pt] ({name[v]}) at ({x},{y}) {{}};")
     for e in h.grade(1):
         lines.append(f"  \\draw[->] ({name[h.s(e, 1)]}) -- node[above,font=\\tiny]"
-                     f" {{{e}}} ({name[h.t(e, 1)]});")
+                     f" {{{e.translate(_TEX)}}} ({name[h.t(e, 1)]});")
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines)

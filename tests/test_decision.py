@@ -1085,21 +1085,31 @@ def test_a_cells_configurations_are_its_bottom_vertexs_with_its_events_running(
 
 
 def _fewest_by_listing(conflicts):
-    """The rule the chooser keeps: list every conflict's matchings,
-    take the first with exactly one, or else the least (count, size), the
-    earliest on a tie."""
+    """The rule the chooser keeps, by listing every conflict's matchings:
+    the first with exactly one; else, unless some conflict has none, the
+    least (count, size), the earliest on a tie.  Returns its index and
+    matchings, or None."""
     listed = [(size, list(it)) for size, it in conflicts]
     singles = [i for i, (_, taus) in enumerate(listed) if len(taus) == 1]
     live = [(len(taus), size, i) for i, (size, taus) in enumerate(listed) if taus]
-    i = singles[0] if singles else min(live, default=(0, 0, None))[2]
-    return (i, [] if i is None else listed[i][1],
-            any(not taus for _, taus in listed))
+    if singles:
+        return singles[0], listed[singles[0]][1]
+    if not live or len(live) < len(listed):   # no conflict, or a dead one
+        return None
+    i = min(live)[2]
+    return i, listed[i][1]
 
 
 def _listed(table):
     """Every matching of a ``_matching_table``, with no prefix refused."""
     from hdasculpt.decision import _matchings
-    return list(_matchings(table, lambda k, j, tau: (tau + (j,), None), ()))
+    tau = []
+
+    def step(k, j):
+        tau.append(j)
+        return tau.pop
+
+    return [tuple(tau) for _ in _matchings(table, step)]
 
 
 @hst.composite
@@ -1107,7 +1117,7 @@ def matching_args(draw, max_n=8):
     """Arguments of ``_matching_table``: two label suffixes over a small
     alphabet, so labels are shared and sometimes repeat, a random
     compatibility relation, and cut flags for all positions but the last,
-    or none."""
+    sometimes all False."""
     rnd = draw(hst.randoms(use_true_random=True))
     n = rnd.randint(0, max_n)
     alphabet = "abcdefghijklmnop"[:rnd.randint(max(n, 1), 16)]
@@ -1116,8 +1126,8 @@ def matching_args(draw, max_n=8):
                   else rnd.sample(alphabet, n)) for _ in range(2))
     density = rnd.choice([0.3, 0.7, 1.0])
     table = {(x, y): rnd.random() < density for x in alphabet for y in alphabet}
-    diverged = (None if rnd.random() < 0.3
-                else [rnd.random() < 0.5 for _ in range(n - 1)])
+    cuts = rnd.random() >= 0.3
+    diverged = [cuts and rnd.random() < 0.5 for _ in range(n - 1)]
     return a, b, lambda x, y: table[x, y], diverged
 
 
@@ -1145,7 +1155,7 @@ def _admissible_by_definition(labels_a, labels_b, compatible, diverged):
                 and not i == j == n - 1 and compatible(labels_a[i], labels_b[j]))
 
     def blocked(tau, k):   # maps positions 0..k onto themselves at a cut
-        return diverged and diverged[k] and set(tau[:k + 1]) == set(range(k + 1))
+        return diverged[k] and set(tau[:k + 1]) == set(range(k + 1))
 
     return [tau for tau in itertools.permutations(range(n))
             if all(admissible(i, j) for i, j in enumerate(tau))
@@ -1165,14 +1175,11 @@ def test_lockstep_choice_equals_listing_every_matching(conflicts):
     # the chooser counts each conflict's matchings and lists only the
     # winner's; it must pick as listing every one would
     from hdasculpt.decision import _fewest_matchings, _matching_table
-    sized = [(len(args[0]), args) for args in conflicts]
-    index, count, table, dead = _fewest_matchings(iter(sized))
+    sized = [(len(args[0]), args, i) for i, args in enumerate(conflicts)]
+    chosen = _fewest_matchings(iter(sized))
     want = _fewest_by_listing((size, _listed(_matching_table(*args)))
-                              for size, args in sized)
-    assert (index, _listed(table)) == want[:2]
-    assert count == len(want[1])
-    if len(want[1]) != 1:   # a forced choice ignores the dead flag
-        assert dead == want[2]
+                              for size, args, _ in sized)
+    assert want == (None if chosen is None else (chosen[0], _listed(chosen[1])))
 
 
 def test_universal_events_serialization():

@@ -245,10 +245,16 @@ def test_branching_pv_programs_are_decided_within_the_default_budget(text, d, no
     ("P(a) P(b) V(b) V(a) P(a) P(b) V(b) V(a)\n"
      "P(b) P(a) V(a) V(b) P(b) P(a) V(a) V(b)\n", 16, 5),
     ("P(a) P(b) V(b) V(a) P(a) V(a)\nP(b) P(a) V(a) V(b) P(b) V(b)\n", 12, 4),
-], ids=["three_res", "cross3", "two_mutex_x2", "twomutex_long"])
+    ("P(a) V(a)\n" * 6, 12, 150),
+    ("P(a) V(a) P(a) V(a) P(a) V(a)\n" * 3, 18, 82),
+    ("P(a) V(a) P(a) V(a) P(a) V(a) P(a) V(a) P(a) V(a) P(a) V(a)\n" * 2, 24, 37),
+], ids=["three_res", "cross3", "two_mutex_x2", "twomutex_long", "mutex6", "seq3x3",
+        "seq2x6"])
 def test_frontier_pv_programs_are_decided_within_the_default_budget(text, d, nodes):
     # each has a root conflict with many matchings, nearly all of whose
-    # prefixes already clash; three_res's has 328,746,151 matchings
+    # prefixes already clash; three_res's has 328,746,151 matchings.  The
+    # last three branch longest: about 0.5, 0.7 and 0.4 s each on one core of
+    # a 2-core x86-64 machine; the node counts pin the search's path
     v = decide_sculptable(pv_to_complex(parse_pv(text)).hda)
     assert v.sculptable and v.d == d and v.nodes_explored == nodes
 
@@ -429,6 +435,52 @@ def test_pv_outputs_are_sculptable():
     for text in programs:
         emb = pv_to_complex(parse_pv(text))
         assert decide_sculptable(emb.hda).sculptable, text
+
+
+def _random_pv_program(rnd):
+    """Two or three well-nested processes over one to three resources of
+    capacity 1, with at most four P actions in all and at least one each: a
+    process takes a resource it does not hold, or releases the last one it
+    took, and releases all it holds at the end."""
+    names = "abc"[:rnd.randint(1, 3)]
+    counts = [1] * rnd.randint(2, 3)
+    for _ in range(rnd.randint(0, 4 - len(counts))):
+        counts[rnd.randrange(len(counts))] += 1
+    lines = []
+    for count in counts:
+        actions, held = [], []
+        for _ in range(count):
+            while held and rnd.random() < 0.5:
+                actions.append(f"V({held.pop()})")
+            free = [r for r in names if r not in held]
+            if free:
+                held.append(rnd.choice(free))
+                actions.append(f"P({held[-1]})")
+        actions += [f"V({r})" for r in reversed(held)]
+        lines.append(" ".join(actions))
+    return "\n".join(lines) + "\n"
+
+
+def test_repair_search_sculpts_seeded_random_pv_programs():
+    # each program's complex embeds in its bounding grid, so none may end in
+    # a negative; the repair search answers with no oracle, and the oracle
+    # agrees wherever it is small enough
+    import random
+
+    from hdasculpt import brute_force_search, repair_search, validate_sculpture
+    rnd = random.Random(0)
+    branched = checked = 0
+    for _ in range(400):
+        text = _random_pv_program(rnd)
+        emb = pv_to_complex(parse_pv(text))
+        assert validate_sculpture(emb.to_sculpture()).ok, text
+        v = repair_search(emb.hda)
+        assert v.sculptable, text
+        branched += v.nodes_explored > 1
+        if len(universal_events(emb.hda.base).reps) <= 10:
+            checked += 1
+            assert brute_force_search(emb.hda).sculptable, text
+    assert branched > 300 and checked > 100
 
 
 def test_three_process_ring_program_decides_quickly():
