@@ -629,7 +629,7 @@ def _homotopy_pair(covering: Covering, cell: str,
             orders = [tuple(declared(e) for e, _ in r) for r in (ra, rb)]
             key = min((len(ra), *labels, *orders), (len(ra), *labels[::-1], *orders[::-1]))
             pair = divergence[cell, ta, tb] = (
-                key, [wa != wb for (_, wa), (_, wb) in zip(ra, rb)])
+                key, tuple(wa != wb for (_, wa), (_, wb) in zip(ra, rb)))
         if best is None or pair[0] < best[0]:
             best = pair
     (_, labels_a, labels_b, _, _), diverged = best
@@ -719,16 +719,19 @@ def _fewest_matchings(conflicts):
     repair search lists its matchings one child at a time; None when there
     is none worth repairing.
 
-    ``conflicts`` yields (size, ``_matching_table`` arguments, conflict)
-    triples and is read lazily; each conflict's matchings are counted, none
-    listed.  The first conflict with exactly one matching wins at once.
-    Otherwise a conflict with none is irreparable, so only forced repairs
-    are worth following, for the sake of a sharper witness, and the answer
-    is None once one has been read; else the least (count, size) wins, the
-    earliest on a tie.
+    ``conflicts`` yields (size, hashable ``_matching_table`` arguments,
+    conflict) triples and is read lazily; each distinct table's matchings are
+    counted once (a repeat has its count and size), none listed.  The first
+    conflict with exactly one matching wins at once.  Otherwise a conflict
+    with none is irreparable, so only forced repairs are worth following,
+    for the sake of a sharper witness, and the answer is None once one has
+    been read; else the least (count, size) wins, the earliest on a tie.
     """
-    best, dead = None, False
+    best, dead, seen = None, False, set()
     for size, args, conflict in conflicts:
+        if args in seen:
+            continue
+        seen.add(args)
         table = _matching_table(*args)
         count = 0 if table is None else table[1][0]
         if count == 1:
@@ -753,12 +756,11 @@ def repair_search(h: Hda, covering: Covering | None = None,
     matched crosswise; the admissible matchings are filtered by the event
     order, co-occurrence, and prefix divergence, and the conflict with the
     fewest of them is repaired first, so forced repairs (two-step
-    interleavings included) chain before anything branches.  Branches whose
-    quotient order turns cyclic are dropped.  No partition is pulled twice:
-    a child is strictly coarser than its parent, as its pair's routes start
-    distinct classes, and where two nodes' root paths part, a coarsening of
-    both would put two events started together in one class, while a
-    matching merges disjoint pairs of classes, each checked for that.
+    interleavings included) chain before anything branches.  No partition is
+    pulled twice: a child is strictly coarser than its parent, as its pair's
+    routes start distinct classes, and where two nodes' root paths part, a
+    coarsening of both would put two events started together in one class,
+    while a matching merges disjoint pairs of classes, each checked for that.
 
     The root, the discrete partition, is decided alone when no state holds two
     configurations.  Otherwise one quotient state, built at the root, holds
@@ -771,10 +773,19 @@ def repair_search(h: Hda, covering: Covering | None = None,
     prefix whose merge makes two distinct cells share a quotient configuration
     is dropped with all its completions: merging never separates them, so no
     coarsening is proper.  The first such clash is kept as the witness, and
-    the nodes left are visited in the same order as without the pruning.  The
-    first node with an acyclic order where no state holds two keys is proper
-    (see ``_Quotient``).  ``nodes_explored`` counts the root and the children
-    pulled; the budget bounds those and the dropped prefixes together.
+    the nodes left are visited in the same order as without the pruning.
+
+    The search keeps the quotient order too, ``below``: per class the bits
+    of the classes under it, from ``Covering.gens`` at the root.  Merging hi
+    into lo changes only the classes above either, and the step's undo
+    restores those.  A prefix whose merge would put a third class strictly
+    between the two, closing a cycle, is dropped too: a coarsening keeps a
+    cycle through distinct classes unless it merges two classes on it, which
+    are comparable, and no proper identification merges comparable classes,
+    as the order filter assumes.  So every node's order is acyclic, and the
+    first where no state holds two keys is proper (see ``_Quotient``).
+    ``nodes_explored`` counts the root and the children pulled; the budget
+    bounds those and the dropped prefixes together.
     """
     if covering is None:
         covering = path_covering(h)
@@ -792,18 +803,26 @@ def repair_search(h: Hda, covering: Covering | None = None,
 
     def step(labels_a, labels_b, k, j):
         """For ``_matchings``: merge position k's class with target j's, and
-        return ``state.pop`` to undo it, a no-op when they are one class
-        already, or None on a clash."""
+        return its undo (a no-op if one already), or None to drop the prefix."""
         nonlocal pruned, first_clash
         x, y = state.part[labels_a[k]], state.part[labels_b[j]]
         if x == y:
             return lambda: None
-        clash = state.merge(min(x, y), max(x, y))
+        lo, hi = min(x, y), max(x, y)
+        clash = state.merge(lo, hi)
         if clash is None:
-            return state.pop
+            both = 1 << lo | 1 << hi
+            down = (below[lo] | below[hi]) & ~both
+            up = [c for c, bits in below.items() if bits & both]   # stale ones too
+            if not any(down >> c & 1 for c in up):
+                saved = [(c, below[c]) for c in up] + [(lo, below[lo])]
+                below.update({c: below[c] & ~(1 << hi) | down | 1 << lo for c in up})
+                below[lo] = down
+                return lambda: (state.pop(), below.update(saved))
+            state.pop()
         pruned += 1
         check_budget()
-        if first_clash is None:
+        if first_clash is None and clash is not None:
             first_clash = _clash_witness(ue, clash)
         return None
 
@@ -824,7 +843,8 @@ def repair_search(h: Hda, covering: Covering | None = None,
         state = _Quotient(covering)
         if state.clash is not None:
             return Verdict(False, witness=_clash_witness(ue, state.clash), nodes_explored=1)
-        stack.append(iter([True]))   # the root, as its one child
+        below = _linear_extension(covering.gens, root)   # None: no proper coarsening
+        stack.append(iter([below is not None]))   # the root, as its one child
     divergence: dict = {}   # see _homotopy_pair
     while stack:
         if not next(stack[-1], False):
@@ -834,16 +854,11 @@ def repair_search(h: Hda, covering: Covering | None = None,
             nodes += 1
             check_budget()
         part = state.part
-        below = _linear_extension(covering.gens, part)
-        if below is None:
-            # each pair a matching merges is incomparable in its parent's
-            # order, but two pairs of one matching can close a cycle
-            continue
         conflicted = [v for v in h.grade(0) if state.held[v] > 1]
         if not conflicted:
+            events = _linear_extension(covering.gens, part)
             return Verdict(True, partition=classes_by_label(ue.reps, part),
-                           sculpture=state.sculpture(h, below), nodes_explored=nodes,
-                           ue=ue)
+                           sculpture=state.sculpture(h, events), nodes_explored=nodes, ue=ue)
 
         def compatible(x, y):
             # merging order-comparable classes always collapses a square's

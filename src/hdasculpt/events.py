@@ -40,11 +40,12 @@ class UniversalEvents:
         index = {r: i for i, r in enumerate(self.reps)}
         return {e: index[r] for e, r in self.rep.items()}
 
+    @cached_property
+    def _sorted_members(self) -> Mapping[str, tuple[str, ...]]:
+        return {r: tuple(sorted(cls)) for cls, r in zip(self.classes, self.reps)}
+
     def members(self, rep: str) -> tuple[str, ...]:
-        for cls, r in zip(self.classes, self.reps):
-            if r == rep:
-                return tuple(sorted(cls))
-        raise KeyError(rep)
+        return self._sorted_members[rep]
 
 
 class UnionFind:
@@ -342,13 +343,7 @@ def discrete_partition(ue: UniversalEvents) -> EventPartition:
 
 def partition_to_json(ue: UniversalEvents, partition: EventPartition) -> list[list[str]]:
     """Each part rendered as the sorted list of all member edges."""
-    out = []
-    for part in partition:
-        edges: list[str] = []
-        for rep in part:
-            edges.extend(ue.members(rep))
-        out.append(sorted(edges))
-    return sorted(out)
+    return sorted(sorted(e for rep in part for e in ue.members(rep)) for part in partition)
 
 
 def universal_events_to_json(ue: UniversalEvents) -> dict:

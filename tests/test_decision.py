@@ -1127,7 +1127,7 @@ def matching_args(draw, max_n=8):
     density = rnd.choice([0.3, 0.7, 1.0])
     table = {(x, y): rnd.random() < density for x in alphabet for y in alphabet}
     cuts = rnd.random() >= 0.3
-    diverged = [cuts and rnd.random() < 0.5 for _ in range(n - 1)]
+    diverged = tuple(cuts and rnd.random() < 0.5 for _ in range(n - 1))
     return a, b, lambda x, y: table[x, y], diverged
 
 

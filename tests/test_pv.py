@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from hdasculpt import (HeldAtEndError, PvSyntaxError, ResourceLimitError,
+from hdasculpt import (HdaError, HeldAtEndError, PvSyntaxError, ResourceLimitError,
                        UnmatchedReleaseError, decide_sculptable, is_connected,
                        parse_pv, partition_to_json, pv_to_complex,
                        universal_events)
@@ -188,38 +188,27 @@ def test_branching_pv_programs_keep_their_partition(name):
 
 
 def test_repair_search_builds_each_child_only_when_it_pulls_it(monkeypatch):
-    import sys
     import hdasculpt.decision as decision
-    # each cycle check's answer, "build" per matching whose merges are all
-    # applied, and "expand" per node whose conflicts are scanned
+    # "build" per matching whose merges are all applied, and "expand" per
+    # node whose conflicts are scanned
     events = []
-
-    def cycle_checked(order):
-        # only the search's own calls: the proper check at a leaf calls the
-        # same kernel
-        if sys._getframe(2).f_code.co_name == "repair_search":
-            events.append(order is not None)
-        return order
 
     def built(taus):
         for tau in taus:
             events.append("build")
             yield tau
 
-    linear_extension, fewest = decision._linear_extension, decision._fewest_matchings
-    matchings = decision._matchings
-    monkeypatch.setattr(decision, "_linear_extension",
-                        lambda *args: cycle_checked(linear_extension(*args)))
+    fewest, matchings = decision._fewest_matchings, decision._matchings
     monkeypatch.setattr(decision, "_fewest_matchings",
                         lambda conflicts: events.append("expand") or fewest(conflicts))
     monkeypatch.setattr(decision, "_matchings", lambda *args: built(matchings(*args)))
     v = decision.repair_search(pv_to_complex(parse_pv("P(a) V(a)\n" * 4)).hda)
     assert v.sculptable and v.nodes_explored > 2
-    assert sum(isinstance(e, bool) for e in events) <= v.nodes_explored
-    # each child is checked as soon as it is built, and a child that passes
-    # the cycle check is expanded before the next is built
-    assert all(a == "build" for a, b in zip(events, events[1:]) if isinstance(b, bool))
-    assert all(b == "expand" for a, b in zip(events, events[1:]) if a is True)
+    # the root is expanded first; every child built is pulled, and each but
+    # the last, which is proper, is expanded before the next is built
+    assert events[0] == "expand" and events[-1] == "build"
+    assert events.count("build") == v.nodes_explored - 1
+    assert all(b == "expand" for a, b in zip(events, events[1:]) if a == "build")
 
 
 @pytest.mark.parametrize("text, d, nodes", [
@@ -259,38 +248,96 @@ def test_frontier_pv_programs_are_decided_within_the_default_budget(text, d, nod
     assert v.sculptable and v.d == d and v.nodes_explored == nodes
 
 
-# Two copies of two_mutex's first process beside twomutex_long's second: the
-# one program known whose repair search pulls children with a cyclic order.
+# Two copies of two_mutex's first process beside twomutex_long's second, and
+# three processes taking three resources in three orders: two pairs of one
+# matching can close a cycle in the quotient order, though each pair is
+# incomparable in its parent's.
 CYCLIC_CHILDREN = ("P(a) P(b) V(b) V(a)\nP(b) P(a) V(a) V(b) P(b) V(b)\n"
                    "P(a) P(b) V(b) V(a)\n")
+THREE_ORDERS = ("P(a) P(c) P(b) V(b) V(c) V(a)\nP(a) P(b) P(c) V(c) P(c) V(c) V(b) V(a)\n"
+                "P(c) P(b) P(a) V(a) P(a) V(a) V(b) V(c)\n")
 
 
 def _pulled(monkeypatch):
-    """Record each partition the repair search checks for a cycle, that is
-    each node it pulls, with the answer: below-sets, or None when cyclic."""
+    """Record the partition of each node the repair search pulls, read off
+    its quotient state: the root's when the state is built, and each
+    child's at the yield of its parent's ``_matchings`` walk."""
     import hdasculpt.decision as decision
-    linear_extension, pulled = decision._linear_extension, []
+    init, matchings = decision._Quotient.__init__, decision._matchings
+    states, pulled = [], []
 
-    def recorded(gens, part):
-        below = linear_extension(gens, part)
-        pulled.append((tuple(part), below))
-        return below
+    def built(self, covering):
+        init(self, covering)
+        states.append(self)
+        pulled.append(tuple(self.part))
 
-    monkeypatch.setattr(decision, "_linear_extension", recorded)
+    def walked(*args):
+        for tau in matchings(*args):
+            pulled.append(tuple(states[-1].part))
+            yield tau
+
+    monkeypatch.setattr(decision._Quotient, "__init__", built)
+    monkeypatch.setattr(decision, "_matchings", walked)
     return pulled
 
 
-def test_repair_search_drops_the_cyclic_children_it_pulls(monkeypatch):
-    # each pair a matching merges is incomparable in its parent's order, but
-    # two pairs of one matching can close a cycle; this program pulls four
-    # such children
-    from hdasculpt import repair_search
-    h = pv_to_complex(parse_pv(CYCLIC_CHILDREN)).hda
-    assert (sum(1 for _ in h.all_cells()), len(universal_events(h.base).reps)) == (232, 64)
+def test_repair_search_pulls_no_cyclic_node(monkeypatch):
+    # a step drops its prefix as soon as its merge puts a third class
+    # strictly between the two it merges; CYCLIC_CHILDREN pulled 14 nodes,
+    # four of them cyclic, and THREE_ORDERS 39,773, all but six cyclic,
+    # when each pulled child was checked for a cycle and skipped
+    from hdasculpt import path_covering, repair_search
+    from hdasculpt.decision import _linear_extension
     pulled = _pulled(monkeypatch)
-    v = repair_search(h)
-    assert v.sculptable and v.d == 14 and v.nodes_explored == 14
-    assert sum(below is None for _, below in pulled) >= 1
+    for text, size, d, nodes in [(CYCLIC_CHILDREN, (232, 64), 14, 10),
+                                 (THREE_ORDERS, (304, 94), 28, 6)]:
+        h = pv_to_complex(parse_pv(text)).hda
+        assert (sum(1 for _ in h.all_cells()), len(universal_events(h.base).reps)) == size
+        pulled.clear()
+        v = repair_search(h)
+        assert v.sculptable and v.d == d and v.nodes_explored == nodes == len(pulled)
+        gens = path_covering(h).gens
+        assert all(_linear_extension(gens, part) is not None for part in pulled)
+
+
+def test_repair_search_filters_on_each_nodes_own_order(monkeypatch):
+    # the order the search keeps through its merges and undos must be the
+    # one a node's partition induces, at every node it expands; the second
+    # program (78 events) is the first known to expand a node, its eleventh,
+    # after undoing a merge that changed the order; it is cut at 40 nodes
+    import hdasculpt.decision as decision
+    from hdasculpt import path_covering
+    init, fewest = decision._Quotient.__init__, decision._fewest_matchings
+    states, expanded = [], []
+
+    def built(self, covering):
+        init(self, covering)
+        states.append(self)
+
+    def checked(conflicts):
+        conflicts = list(conflicts)
+        state, compatible = states[-1], conflicts[0][1][2]
+        below = decision._linear_extension(gens, state.part)
+        classes = sorted(set(state.part))
+        assert all(compatible(x, y) == (not (below[y] >> x & 1 or below[x] >> y & 1
+                                             or state.meet[x] & state.members[y]))
+                   for x in classes for y in classes if x != y)
+        expanded.append(tuple(state.part))
+        return fewest(iter(conflicts))
+
+    monkeypatch.setattr(decision._Quotient, "__init__", built)
+    monkeypatch.setattr(decision, "_fewest_matchings", checked)
+    for text, budget in [(BRANCHING["ring3"], 10 ** 6),
+                         ("P(a) P(b) V(b) P(b) V(b) V(a)\nP(c) V(c) P(a) V(a)\n"
+                          "P(c) P(b) V(b) P(a) V(a) V(c)\n", 40)]:
+        h = pv_to_complex(parse_pv(text)).hda
+        gens = path_covering(h).gens
+        expanded.clear()
+        try:
+            assert decision.repair_search(h, node_budget=budget).sculptable
+        except ResourceLimitError:
+            pass
+        assert len(set(expanded)) >= 5
 
 
 def test_repair_search_never_pulls_a_partition_twice(monkeypatch):
@@ -307,9 +354,10 @@ def test_repair_search_never_pulls_a_partition_twice(monkeypatch):
     pulled = _pulled(monkeypatch)
     for h in automata:
         pulled.clear()
-        repair_search(h)
-        parts = [part for part, _ in pulled]
-        assert len(set(parts)) == len(parts)
+        v = repair_search(h)
+        # the root's state is built unless no vertex holds two keys
+        assert len(pulled) in (0, v.nodes_explored)
+        assert len(set(pulled)) == len(pulled)
 
 
 def _merged_pv_programs():
@@ -481,6 +529,73 @@ def test_repair_search_sculpts_seeded_random_pv_programs():
             checked += 1
             assert brute_force_search(emb.hda).sculptable, text
     assert branched > 300 and checked > 100
+
+
+def _guided(monkeypatch):
+    """Refuse, as a clash, every merge of two classes that a proper partition
+    P keeps apart, so that the repair search searches only below P; returns
+    the search, which takes the automaton and P.
+
+    The order, co-occurrence and cut filters and the cycle pruning must keep
+    some child below P at every node below P, so the guided search must
+    still end sculptable."""
+    from hdasculpt import repair_search
+    from hdasculpt.decision import _Quotient
+    from hdasculpt.events import class_indices
+    merge, target = _Quotient.merge, []
+
+    def guided(self, lo, hi):
+        if target[lo] != target[hi]:
+            return "kept apart", "by P", (0, 0)
+        return merge(self, lo, hi)
+
+    def search(h, partition):
+        target[:] = class_indices(universal_events(h.base).reps, partition)
+        return repair_search(h)
+
+    monkeypatch.setattr(_Quotient, "merge", guided)
+    return search
+
+
+def test_guided_repair_search_sculpts_random_automata(monkeypatch):
+    # P is a PV program's grid certificate's partition, or the oracle's for
+    # a sculptable random automaton
+    import random
+
+    from hdasculpt import brute_force_search, event_equiv_sculpt
+    from hdasculpt.randgen import random_hda_batch
+    rnd = random.Random(0)
+    cases = []
+    for _ in range(400):
+        emb = pv_to_complex(parse_pv(_random_pv_program(rnd)))
+        cases.append((emb.hda, event_equiv_sculpt(emb.to_sculpture())))
+    for h in random_hda_batch(7, 300, max_events=12):
+        try:
+            v = brute_force_search(h)
+        except HdaError:
+            continue
+        if v.sculptable:
+            cases.append((h, v.partition))
+    search = _guided(monkeypatch)
+    branched = 0
+    for h, partition in cases:
+        v = search(h, partition)
+        assert v.sculptable
+        branched += v.nodes_explored > 1
+    assert len(cases) > 600 and branched > 350
+
+
+@pytest.mark.parametrize("text", [
+    "P(a) V(a)\n" * 4, "P(a) V(a)\n" * 5, "P(a) V(a)\n" * 6,
+    "P(a) V(a) P(a) V(a) P(a) V(a)\n" * 2, "P(a) V(a) P(a) V(a) P(a) V(a)\n" * 3,
+    "P(a) P(b) P(c) V(c) V(b) V(a)\nP(c) P(b) P(a) V(a) V(b) V(c)\n",
+    CYCLIC_CHILDREN, THREE_ORDERS,
+], ids=["mutex4", "mutex5", "mutex6", "seq2x3", "seq3x3", "three_res",
+        "cyclic_children", "three_orders"])
+def test_guided_repair_search_sculpts_frontier_programs(monkeypatch, text):
+    from hdasculpt import event_equiv_sculpt
+    emb = pv_to_complex(parse_pv(text))
+    assert _guided(monkeypatch)(emb.hda, event_equiv_sculpt(emb.to_sculpture())).sculptable
 
 
 def test_three_process_ring_program_decides_quickly():
